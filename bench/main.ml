@@ -55,23 +55,16 @@ let kernel_tests =
     Test.make ~name:"kernel_select_greedy"
       (Staged.stage (fun () ->
            ignore (Select.select ~strategy:Select.Greedy inter ~buffer_width:32)));
-    Test.make ~name:"kernel_select_exact"
-      (Staged.stage (fun () ->
-           ignore
-             (Select.select ~strategy:Select.Exact ~engine:Select.Stream inter
-                ~buffer_width:32)));
     Test.make ~name:"kernel_select_bitset"
       (Staged.stage (fun () ->
-           ignore
-             (Select.select ~strategy:Select.Exact ~engine:Select.Bitset inter
-                ~buffer_width:32)));
+           ignore (Select.select ~strategy:Select.Exact inter ~buffer_width:32)));
     (* delta re-selection seeded by the journalled best of a prior run at a
        neighboring buffer width — the --delta-from workload in miniature *)
     (Test.make ~name:"kernel_reselect")
       (Staged.stage
          (let seeds =
             [ List.map (fun (m : Message.t) -> m.Message.name)
-                (Select.select ~engine:Select.Bitset inter ~buffer_width:30).Select.messages ]
+                (Select.select inter ~buffer_width:30).Select.messages ]
           in
           fun () -> ignore (Select.reselect ~seeds inter ~buffer_width:32)));
     Test.make ~name:"kernel_total_paths"
@@ -97,9 +90,9 @@ let kernel_tests =
 (* The daemon's dispatch path on the same Scenario-1 selection the bare
    kernels time: one request line through Proto parsing, admission
    control, per-request supervision and response rendering. The ratio
-   over kernel_select_bitset (same exact width-32 selection, default
-   Auto engine) is the whole per-request serving overhead — that ratio
-   is what the CI bench gate holds. *)
+   over kernel_select_bitset (same exact width-32 selection) is the
+   whole per-request serving overhead — that ratio is what the CI bench
+   gate holds. *)
 
 module Service = Flowtrace_service
 
@@ -195,30 +188,22 @@ let serve_saturation () =
     [ 1; 2; 4; 8 ]
 
 (* The selection stress workload (Stress): hundreds of thousands of
-   candidate combinations. Compares the pre-PR list-based exact path
-   against the streaming engine, sequentially and across 4 domains. *)
+   candidate combinations. Compares the brute-force list path against
+   the selection kernel, plain and supervised. *)
 let stress_tests =
   let inter = Stress.interleave () in
   let w = Stress.default_buffer_width in
   [
     Test.make ~name:"stress_select_exact_list"
       (Staged.stage (fun () -> ignore (select_exact_list inter ~buffer_width:w)));
-    Test.make ~name:"stress_select_exact_stream"
-      (Staged.stage (fun () ->
-           ignore (Select.select ~engine:Select.Stream ~pack:false inter ~buffer_width:w)));
-    Test.make ~name:"stress_select_exact_par4"
-      (Staged.stage (fun () ->
-           ignore
-             (Select.select ~engine:Select.Stream ~jobs:4 ~pack:false inter ~buffer_width:w)));
     Test.make ~name:"stress_select_bitset"
-      (Staged.stage (fun () ->
-           ignore (Select.select ~engine:Select.Bitset ~pack:false inter ~buffer_width:w)));
+      (Staged.stage (fun () -> ignore (Select.select ~pack:false inter ~buffer_width:w)));
     Test.make ~name:"stress_select_greedy"
       (Staged.stage (fun () ->
            ignore (Select.select ~strategy:Select.Greedy ~pack:false inter ~buffer_width:w)));
     (* the supervised engine on the same workload: its task loop, mutex
-       publication and per-task transactional folds are the overhead the
-       runtime layer charges over the bare streaming walk *)
+       publication and per-task ticked walks are the overhead the runtime
+       layer charges over the bare kernel *)
     Test.make ~name:"stress_select_supervised"
       (Staged.stage (fun () ->
            ignore
@@ -252,8 +237,8 @@ let benchmark ~quota =
 
 (* ------------------------------------------------------------------ *)
 (* Memory probes: words allocated and peak heap for one run of each exact
-   path on the stress workload. The streaming engine's peak no longer
-   scales with the candidate count — the list path's does. *)
+   path on the stress workload. The kernel's peak does not scale with the
+   candidate count — the list path's does. *)
 
 let memory_probes () =
   let inter = Stress.interleave () in
@@ -262,6 +247,9 @@ let memory_probes () =
     Gc.compact ();
     let s0 = Gc.quick_stat () in
     ignore (f ());
+    (* words still in the minor heap only reach the counters at the next
+       minor collection; a run smaller than the minor heap would read 0 *)
+    Gc.minor ();
     let s1 = Gc.quick_stat () in
     let allocated =
       s1.Gc.minor_words +. s1.Gc.major_words -. s1.Gc.promoted_words
@@ -272,13 +260,12 @@ let memory_probes () =
       (name ^ "_peak_heap_words", float_of_int s1.Gc.top_heap_words);
     ]
   in
-  (* streaming first so the list path's heap growth cannot mask it *)
-  probe "stress_exact_stream" (fun () ->
-      Select.select ~engine:Select.Stream ~pack:false inter ~buffer_width:w)
+  (* the kernel first so the list path's heap growth cannot mask it *)
+  probe "stress_exact_bitset" (fun () -> Select.select ~pack:false inter ~buffer_width:w)
   @ probe "stress_exact_list" (fun () -> select_exact_list inter ~buffer_width:w)
 
 (* ------------------------------------------------------------------ *)
-(* Counter provenance: one instrumented stream-path run of the stress
+(* Counter provenance: one instrumented kernel run of the stress
    workload, recorded into the bench JSON so a timing regression can be
    cross-checked against the work actually done (did the candidate count
    change, or just the clock?). Uses the null sink — counters only. *)
@@ -289,9 +276,7 @@ let telemetry_provenance () =
   let inter = Stress.interleave () in
   Tel.install Flowtrace_telemetry.Sink.null;
   Fun.protect ~finally:Tel.shutdown @@ fun () ->
-  ignore
-    (Select.select ~engine:Select.Stream ~pack:false inter
-       ~buffer_width:Stress.default_buffer_width);
+  ignore (Select.select ~pack:false inter ~buffer_width:Stress.default_buffer_width);
   List.filter_map
     (function
       | Event.Counter c when c.Event.c_value <> 0 -> Some (c.Event.c_name, c.Event.c_value)

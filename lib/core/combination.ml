@@ -6,13 +6,13 @@
    [Too_many] guards against combinatorial blow-up; large scenarios should
    use the greedy strategy in {!Select}.
 
-   Two interfaces share one width-pruned subset-tree walk:
-   - {!fold_candidates} streams every candidate through a fold in constant
-     memory (no candidate list is ever materialized);
-   - {!plan}/{!fold_task} split the tree at a fixed prefix depth into
-     independent subtrees, so callers can fan the walk out across OCaml 5
-     domains. Every root-to-leaf path passes through exactly one prefix,
-     hence the tasks partition the candidate set. *)
+   {!fold_candidates} streams every candidate of the width-pruned
+   subset-tree walk through a fold in constant memory; it backs the
+   materializing {!enumerate}, the brute-force reference the selection
+   kernel is tested against. {!plan} splits the same tree at a fixed
+   prefix depth into independent subtrees, which the kernel's walks fan
+   out across OCaml 5 domains. Every root-to-leaf path passes through
+   exactly one prefix, hence the tasks partition the candidate set. *)
 
 exception Too_many of int
 
@@ -57,7 +57,7 @@ let walk arr warr ~start ~remaining ~taken ~min_skipped ~only_maximal ~tick ~tak
     else begin
       let w = warr.(i) in
       (* skip arr.(i) *)
-      let acc = go (i + 1) remaining taken (min min_skipped w) path acc in
+      let acc = go (i + 1) remaining taken (Int.min min_skipped w) path acc in
       (* take arr.(i) if it fits; messages are width-sorted so if this one
          does not fit, none of the rest do either *)
       if w <= remaining then
@@ -88,12 +88,11 @@ let fold_candidates ?(limit = default_limit) ?(only_maximal = false) messages ~w
 type task = {
   t_start : int;  (* next undecided pool index *)
   t_remaining : int;
-  t_taken : Message.t list;  (* prefix takes, in take (width-ascending) order *)
-  t_n_taken : int;
+  t_taken : int list;  (* prefix takes as pool indices, ascending *)
   t_min_skipped : int;
 }
 
-type plan = { p_arr : Message.t array; p_widths : int array; p_tasks : task array }
+type plan = { p_tasks : task array }
 
 let plan ?(depth = 10) messages ~width =
   if width <= 0 then invalid_arg "Combination.plan: width must be positive";
@@ -101,43 +100,28 @@ let plan ?(depth = 10) messages ~width =
   let warr = pool_widths arr in
   let d = min (max depth 0) (Array.length arr) in
   let tasks = ref [] in
-  let rec go i remaining taken n_taken min_skipped =
+  let rec go i remaining taken min_skipped =
     if i = d then
       tasks :=
-        {
-          t_start = i;
-          t_remaining = remaining;
-          t_taken = List.rev taken;
-          t_n_taken = n_taken;
-          t_min_skipped = min_skipped;
-        }
+        { t_start = i; t_remaining = remaining; t_taken = List.rev taken; t_min_skipped = min_skipped }
         :: !tasks
     else begin
       let w = warr.(i) in
-      go (i + 1) remaining taken n_taken (min min_skipped w);
-      if w <= remaining then go (i + 1) (remaining - w) (arr.(i) :: taken) (n_taken + 1) min_skipped
+      go (i + 1) remaining taken (Int.min min_skipped w);
+      if w <= remaining then go (i + 1) (remaining - w) (i :: taken) min_skipped
     end
   in
-  go 0 width [] 0 max_int;
-  { p_arr = arr; p_widths = warr; p_tasks = Array.of_list (List.rev !tasks) }
+  go 0 width [] max_int;
+  { p_tasks = Array.of_list (List.rev !tasks) }
 
 let n_tasks plan = Array.length plan.p_tasks
 
-(* Plan internals for the word-parallel kernel (Kernel): it drives the
-   same task decomposition with its own mask-based walk, so the per-task
-   candidate partition — and hence counter totals and Too_many behavior —
-   is shared with the streaming folds by construction. *)
-let plan_pool plan = plan.p_arr
+(* Plan internals for the word-parallel kernel (Kernel), which drives
+   this task decomposition with its own walks. *)
 let task_start plan idx = plan.p_tasks.(idx).t_start
 let task_remaining plan idx = plan.p_tasks.(idx).t_remaining
 let task_min_skipped plan idx = plan.p_tasks.(idx).t_min_skipped
 let task_taken plan idx = plan.p_tasks.(idx).t_taken
-
-let fold_task plan idx ?(only_maximal = false) ~tick ~take ~path ~leaf ~init =
-  let t = plan.p_tasks.(idx) in
-  let path = List.fold_left take path t.t_taken in
-  walk plan.p_arr plan.p_widths ~start:t.t_start ~remaining:t.t_remaining ~taken:t.t_n_taken
-    ~min_skipped:t.t_min_skipped ~only_maximal ~tick ~take ~path ~leaf ~init
 
 (* ------------------------------------------------------------------ *)
 (* Materializing conveniences, kept for callers that want explicit lists *)

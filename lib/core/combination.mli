@@ -5,10 +5,12 @@
     width is the sum of member widths. Only combinations whose total width
     fits the trace buffer are candidates for Step 2.
 
-    The enumeration is a width-pruned subset-tree walk exposed at three
-    levels: a constant-memory streaming fold ({!fold_candidates}), a
-    task-split form for multicore fan-out ({!plan}/{!fold_task}), and the
-    materializing {!enumerate} kept for explicit candidate lists. *)
+    The enumeration is a width-pruned subset-tree walk, exposed as a
+    constant-memory streaming fold ({!fold_candidates}) and the
+    materializing {!enumerate}: together with {!maximal_only}, {!count}
+    and [Select.step2] they are the brute-force reference the selection
+    kernel ({!Kernel}) is tested against. {!plan} is the task split the
+    kernel's walks fan out across domains. *)
 
 (** Raised when more than [limit] combinations fit. *)
 exception Too_many of int
@@ -16,11 +18,8 @@ exception Too_many of int
 val default_limit : int
 
 (** [canonical_pool messages] is the pool in the walk's canonical order:
-    width-ascending, stable for equal widths. Selections and task prefixes
-    are expressed in this order; external supervisors (lib/runtime) use it
-    to reconstruct a selection from persisted message names with the exact
-    fold order — and hence bit-identical incremental gain — of a live
-    walk. *)
+    width-ascending, stable for equal widths. Selections, task prefixes
+    and the kernel's pool slots are expressed in this order. *)
 val canonical_pool : Message.t list -> Message.t list
 
 (** [fold_candidates messages ~width ~init ~f] folds [f] over every
@@ -52,38 +51,16 @@ val plan : ?depth:int -> Message.t list -> width:int -> plan
 
 val n_tasks : plan -> int
 
-(** Plan internals, exposed for the word-parallel selection kernel
-    ({!Kernel}), which drives the same task decomposition with a
-    mask-based walk of its own. [plan_pool] is the canonical
-    (width-ascending) pool as an array; per task [i], [task_start] is the
-    first undecided pool index, [task_taken] the prefix takes in take
-    order, [task_remaining] the width left after the prefix, and
+(** Plan internals, exposed for the selection kernel ({!Kernel}), which
+    walks each task's subtree itself. Per task [i], [task_start] is the
+    first undecided pool index, [task_taken] the prefix takes as
+    ascending indices into {!canonical_pool}, [task_remaining] the width left after the prefix, and
     [task_min_skipped] the narrowest width skipped along the prefix (the
-    streaming maximality state). *)
-val plan_pool : plan -> Message.t array
-
+    maximality state). *)
 val task_start : plan -> int -> int
-val task_taken : plan -> int -> Message.t list
+val task_taken : plan -> int -> int list
 val task_remaining : plan -> int -> int
 val task_min_skipped : plan -> int -> int
-
-(** [fold_task plan i ~tick ~take ~path ~leaf ~init] folds over the
-    candidates of task [i]. [path] is caller state threaded along the
-    current branch and extended by [take] whenever a message is added (the
-    task's prefix takes are replayed first); [leaf] folds the per-candidate
-    results; [tick] fires once per fitting candidate before the
-    [only_maximal] filter — share one atomic counter across tasks to
-    enforce a global {!Too_many} budget (it may raise to abort). *)
-val fold_task :
-  plan ->
-  int ->
-  ?only_maximal:bool ->
-  tick:(unit -> unit) ->
-  take:('p -> Message.t -> 'p) ->
-  path:'p ->
-  leaf:('a -> 'p -> 'a) ->
-  init:'a ->
-  'a
 
 (** [enumerate messages ~width] lists every non-empty subset of [messages]
     whose total width is at most [width]. Raises {!Too_many} past [limit]

@@ -211,7 +211,7 @@ let eval ev combo =
   List.fold_left (fun acc (m : Message.t) -> acc +. eval_base ev m.Message.name) 0.0 combo
 
 (* Term array for the word-parallel kernel: one float per pool slot, so
-   the mask-based walk adds gains by array index with no hashing on the
+   the walk adds gains by array index with no hashing on the
    hot path. Exactly the floats [eval_base] returns, in pool order. *)
 let terms ev pool = Array.map (fun (m : Message.t) -> eval_base ev m.Message.name) pool
 

@@ -56,7 +56,7 @@ val eval : evaluator -> Message.t list -> float
 
 (** [terms ev pool] is [eval_base] per pool slot as a float array — the
     per-message gain terms the word-parallel kernel ({!Kernel}) indexes
-    directly during its mask-based walk. *)
+    directly during its walk. *)
 val terms : evaluator -> Message.t array -> float array
 
 (** [eval_weighted ev ~weight] is {!compute_weighted} against the

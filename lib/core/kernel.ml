@@ -1,41 +1,44 @@
-(* The word-parallel selection kernel.
+(* The word-parallel selection kernel: the one Step-1/2 engine.
 
-   Step-1/2 selection spends its whole life in the subset-tree walk, and
-   the streaming engine still pays per-node for it: a hashtable probe per
-   taken message, a Path record and list cons per branch extension, a
-   polymorphic closure call per leaf. This kernel precomputes everything
-   the walk reads into flat arrays over the canonical (width-ascending)
-   pool — per-slot trace widths, per-slot gain terms, suffix term sums,
-   and per-slot destination-state bitsets ({!Bitset}) — and represents a
-   candidate as one int mask over pool slots. The walk then runs on ints
-   and floats only: a take is [mask lor bit] plus one array-indexed float
-   add, a leaf is three register compares, and coverage is a word-OR /
-   popcount fold.
+   Step-1/2 selection spends its whole life in the subset-tree walk. This
+   kernel precomputes everything the walk reads into flat arrays over the
+   canonical (width-ascending) pool — per-slot trace widths, per-slot gain
+   terms, suffix term sums, and per-slot destination-state bitsets
+   ({!Bitset}) — so the walk runs on ints and floats only: a take is one
+   stack store plus one array-indexed float add, a leaf is a couple of
+   register compares, and coverage is a word-OR / popcount fold.
+
+   A candidate on the walk is the depth-indexed stack of its taken slots;
+   it is copied out (as an ascending slot array) only when it improves the
+   best-so-far, so the pool size is unbounded and the hot path does no
+   mask arithmetic at all.
 
    Bit-identity contract: along any root-to-leaf path, takes happen in
    ascending slot order, so accumulating [terms.(i)] in that order
-   reproduces the float association of the streaming engine's incremental
-   [Select.Path] sums exactly — gains are bit-for-bit equal, candidate
-   orders coincide, and the unique best under the deterministic comparator
-   is the same at any job count. The task decomposition is shared with
-   the streaming engine ({!Combination.plan}); the candidate-counter
-   totals and the [Too_many] condition are settled arithmetically by a
-   knapsack-counting DP ({!count_candidates}) before the walk starts, so
-   they equal the streaming engine's per-leaf tick totals by construction
-   — which in turn frees the walk to skip subtrees that provably cannot
-   beat the best-so-far without any observable difference.
+   reproduces the float association of the brute-force list path
+   ([Combination.enumerate] scored by [Infogain.eval]) exactly — gains are
+   bit-for-bit equal, and the unique best under the deterministic
+   comparator ({!better}) is the same at any job count. The candidate
+   count, and with it the [Too_many] decision, is settled arithmetically by
+   a knapsack-counting DP ({!count_candidates}) before any walk starts,
+   which frees every walk to skip subtrees that provably cannot beat the
+   best-so-far.
 
-   On top of the exact fold, {!reselect} runs the same walk as an exact
-   branch-and-bound: seed candidates (typically journalled bests from a
-   previous run of a slightly different scenario) are re-scored under the
-   new terms to form an incumbent, and any subtree whose inflated upper
-   bound (prefix gain + remaining suffix term sum) falls strictly below
-   the incumbent's gain is pruned. Because terms are non-negative and the
-   bound over-approximates every float leaf sum below the node, no leaf
-   that could beat or tie the final best is ever skipped — the result is
-   bit-identical to a from-scratch run, it just re-scores fewer
-   candidates. Pruning decisions use task-local incumbents only, so
-   explored/scored totals are partition-invariant across job counts. *)
+   Two walks share the task decomposition of {!Combination.plan}:
+   - the fast walk answers plain exact selections: no tick, bound-pruned
+     against the best-so-far;
+   - the ticked walk answers everything else — budgeted (anytime) runs,
+     exact-maximal runs, delta re-selection and the supervised task loop
+     of lib/runtime. It ticks a {!Budget} once per visited leaf and runs
+     as an exact branch-and-bound: seed candidates (typically journalled
+     bests of a previous run of a slightly different scenario) are
+     re-scored under the new terms to form an incumbent, and any subtree
+     whose inflated upper bound (prefix gain + remaining suffix term sum)
+     falls strictly below it is pruned. Terms are non-negative and the
+     bound over-approximates every float leaf sum below the node, so no
+     leaf that could beat or tie the final best is ever skipped. Pruning
+     decisions use task-local incumbents only, so a task's best and its
+     work counters do not depend on which domain ran which task. *)
 
 type t = {
   k_pool : Message.t array;  (* canonical width-ascending pool *)
@@ -47,19 +50,12 @@ type t = {
   k_index : (string, int) Hashtbl.t;  (* base name -> pool slot *)
 }
 
-(* Masks are one OCaml int; keep the sign bit out of them. *)
-let max_pool = 62
-
 let n_messages t = Array.length t.k_pool
 let pool t = t.k_pool
 
 let make inter =
   let pool = Array.of_list (Combination.canonical_pool (Interleave.messages inter)) in
   let n = Array.length pool in
-  if n > max_pool then
-    invalid_arg
-      (Printf.sprintf "Kernel.make: pool of %d messages exceeds the %d-slot mask limit" n
-         max_pool);
   let ev = Infogain.evaluator inter in
   let widths = Array.map Message.trace_width pool in
   let terms = Infogain.terms ev pool in
@@ -87,148 +83,118 @@ let make inter =
     k_index = index;
   }
 
+let plan t ~buffer_width = Combination.plan (Array.to_list t.k_pool) ~width:buffer_width
+
 (* ------------------------------------------------------------------ *)
-(* Masks *)
+(* Candidates *)
 
-let mask_of_names t names =
-  let rec go mask = function
-    | [] -> Some mask
-    | name :: rest -> (
-        match Hashtbl.find_opt t.k_index name with
-        | Some i -> go (mask lor (1 lsl i)) rest
-        | None -> None)
-  in
-  go 0 names
+type candidate = { c_slots : int array; c_gain : float; c_bits : int }
 
-(* Iterate set slots in ascending order: clear the lowest set bit each
-   round; its index is the popcount of the bits below it. *)
-let iter_mask f mask =
-  let m = ref mask in
-  while !m <> 0 do
-    let lsb = !m land - !m in
-    f (Bitset.popcount_word (lsb - 1));
-    m := !m land (!m - 1)
-  done
+(* Sorted names of the first [len] slots — the deterministic tie-break key. *)
+let key_of_slots t slots len =
+  List.sort String.compare (List.init len (fun d -> t.k_pool.(slots.(d)).Message.name))
 
-let messages_of_mask t mask =
-  let acc = ref [] in
-  iter_mask (fun i -> acc := t.k_pool.(i) :: !acc) mask;
-  List.rev !acc
+let key t c = key_of_slots t c.c_slots (Array.length c.c_slots)
+let messages t c = Array.to_list (Array.map (fun i -> t.k_pool.(i)) c.c_slots)
 
 (* Ascending-slot term sum: the float association every walk leaf uses,
-   so a re-scored mask is bit-identical to its live walk gain. *)
-let gain_of_mask t mask =
-  let g = ref 0.0 in
-  iter_mask (fun i -> g := !g +. t.k_terms.(i)) mask;
-  !g
+   so a re-scored candidate is bit-identical to its live walk gain. *)
+let candidate_of_names t names =
+  let rec slots acc = function
+    | [] -> Some (Array.of_list (List.sort_uniq compare acc))
+    | name :: rest -> (
+        match Hashtbl.find_opt t.k_index name with
+        | Some i -> slots (i :: acc) rest
+        | None -> None)
+  in
+  Option.map
+    (fun s ->
+      {
+        c_slots = s;
+        c_gain = Array.fold_left (fun g i -> g +. t.k_terms.(i)) 0.0 s;
+        c_bits = Array.fold_left (fun b i -> b + t.k_widths.(i)) 0 s;
+      })
+    (slots [] names)
 
-let bits_of_mask t mask =
-  let b = ref 0 in
-  iter_mask (fun i -> b := !b + t.k_widths.(i)) mask;
-  !b
+(* Higher gain first (exact float compare), then more bits, then the
+   lexicographically smaller sorted name key. Distinct candidates have
+   distinct keys, so this is a strict total order and the best is unique. *)
+let better t a b =
+  if a.c_gain <> b.c_gain then a.c_gain > b.c_gain
+  else if a.c_bits <> b.c_bits then a.c_bits > b.c_bits
+  else key t a < key t b
 
-let key_of_mask t mask =
-  let names = ref [] in
-  iter_mask (fun i -> names := t.k_pool.(i).Message.name :: !names) mask;
-  List.sort String.compare !names
+let merge t a b =
+  match (a, b) with
+  | None, c | c, None -> c
+  | Some x, Some y -> if better t y x then b else a
 
 (* ------------------------------------------------------------------ *)
-(* Coverage: Definition 7 as a word-parallel union/popcount. Identical to
-   Coverage.compute because each slot's bitset marks exactly the
-   destination states of that base's edges. *)
+(* Per-task best-so-far. [consider] is {!better} against the walk's
+   stack: the key is only materialized on exact (gain, bits) ties, which
+   are rare, and the stack is copied out only on improvement. *)
 
-let coverage t ~selected =
-  if t.k_n_states = 0 then 0.0
-  else begin
-    let sets = ref [] in
-    Array.iteri
-      (fun i (m : Message.t) -> if selected m.Message.name then sets := t.k_states.(i) :: !sets)
-      t.k_pool;
-    float_of_int (Bitset.popcount_union !sets) /. float_of_int t.k_n_states
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Best-candidate tracking.
-
-   Mirrors the deterministic comparator of Select: higher gain first
-   (exact float compare), then more bits, then lexicographically smaller
-   sorted name key. The key is only materialized on exact (gain, bits)
-   ties, which are rare. *)
-
-type best = { mutable bg : float; mutable bb : int; mutable bmask : int; mutable bkey : string list }
-
-let no_best () = { bg = neg_infinity; bb = 0; bmask = 0; bkey = [] }
-let has_best b = b.bmask <> 0
-
-let consider t b gain bits mask =
-  if not (has_best b) then begin
-    b.bg <- gain;
-    b.bb <- bits;
-    b.bmask <- mask;
-    b.bkey <- []
-  end
-  else if gain <> b.bg then begin
-    if gain > b.bg then begin
-      b.bg <- gain;
-      b.bb <- bits;
-      b.bmask <- mask;
-      b.bkey <- []
-    end
-  end
-  else if bits <> b.bb then begin
-    if bits > b.bb then begin
-      b.bb <- bits;
-      b.bmask <- mask;
-      b.bkey <- []
-    end
-  end
-  else begin
-    if b.bkey = [] then b.bkey <- key_of_mask t b.bmask;
-    let ck = key_of_mask t mask in
-    if ck < b.bkey then begin
-      b.bmask <- mask;
-      b.bkey <- ck
-    end
-  end
-
-(* Merge two per-task bests (task order); same comparator. *)
-let merge_best t a b =
-  if not (has_best b) then a
-  else if not (has_best a) then b
-  else begin
-    consider t a b.bg b.bb b.bmask;
-    a
-  end
-
-(* Replay a task's prefix takes: same take order, same float association
-   as the streaming engine replaying [Combination.task_taken]. *)
-let prefix_of_task t plan idx =
-  List.fold_left
-    (fun (mask, gain, bits, taken) (m : Message.t) ->
-      let i = Hashtbl.find t.k_index m.Message.name in
-      (mask lor (1 lsl i), gain +. t.k_terms.(i), bits + t.k_widths.(i), taken + 1))
-    (0, 0.0, 0, 0)
-    (Combination.task_taken plan idx)
-
-type selection = {
-  sel_messages : Message.t list;
-  sel_gain : float;
-  sel_streamed : int;  (* candidates before the maximality filter *)
-  sel_scored : int;  (* leaves scored *)
+type cell = {
+  mutable bg : float;
+  mutable bb : int;
+  mutable bslots : int array;  (* [||] until the first candidate *)
+  mutable bkey : string list;  (* lazily built tie-break key of bslots *)
+  mutable scored : int;  (* leaves scored (ticked walk) *)
+  mutable pruned : int;  (* subtrees cut by the bound (ticked walk) *)
+  stack : int array;  (* walk scratch: the taken slots of the current path *)
 }
 
-(* How many candidates would the walk stream? The walk enumerates every
-   non-empty subset of the pool whose total trace width fits the buffer,
-   exactly once — so the count is a knapsack-counting DP over widths,
-   O(n·width), no tree walk at all. This is what lets the hot walks below
-   drop the per-leaf tick entirely: [Too_many] is decided upfront from
-   this count (the streaming engine raises if and only if the total
-   exceeds the limit, and so do we), and the streamed/scored counters
-   become arithmetic — identical to the streaming engine's totals and
-   trivially partition-invariant.
+let cell t =
+  {
+    bg = neg_infinity;
+    bb = 0;
+    bslots = [||];
+    bkey = [];
+    scored = 0;
+    pruned = 0;
+    stack = Array.make (Array.length t.k_pool) 0;
+  }
 
-   Counts saturate at [count_cap] so a 2^62-subset pool cannot wrap; a
-   saturated count still compares correctly against any practical limit. *)
+let best c =
+  if Array.length c.bslots = 0 then None
+  else Some { c_slots = c.bslots; c_gain = c.bg; c_bits = c.bb }
+
+let consider t c gain bits stack depth =
+  if Array.length c.bslots = 0 || gain > c.bg || (gain = c.bg && bits > c.bb) then begin
+    c.bg <- gain;
+    c.bb <- bits;
+    c.bslots <- Array.sub stack 0 depth;
+    c.bkey <- []
+  end
+  else if gain = c.bg && bits = c.bb then begin
+    if c.bkey = [] then c.bkey <- key_of_slots t c.bslots (Array.length c.bslots);
+    let k = key_of_slots t stack depth in
+    if k < c.bkey then begin
+      c.bslots <- Array.sub stack 0 depth;
+      c.bkey <- k
+    end
+  end
+
+(* Push a task's prefix takes onto the cell's stack: same take order,
+   same float association as a root-to-leaf walk through that prefix
+   (plan indices are kernel slots — both index the canonical pool). *)
+let prefix_of_task t plan idx stack =
+  List.fold_left
+    (fun (depth, gain, bits) i ->
+      stack.(depth) <- i;
+      (depth + 1, gain +. t.k_terms.(i), bits + t.k_widths.(i)))
+    (0, 0.0, 0)
+    (Combination.task_taken plan idx)
+
+(* ------------------------------------------------------------------ *)
+(* Counting and the limit *)
+
+(* How many candidates would a full walk visit? Every non-empty subset of
+   the pool whose total trace width fits the buffer, exactly once — so
+   the count is a knapsack-counting DP over widths, O(n·width), no tree
+   walk at all. Counts saturate at [count_cap] so a huge pool cannot
+   wrap; a saturated count still compares correctly against any
+   practical limit. *)
 let count_cap = max_int / 4
 
 let count_candidates t ~buffer_width =
@@ -251,285 +217,206 @@ let count_candidates t ~buffer_width =
     Array.fold_left sat 0 dp - 1 (* minus the empty selection *)
   end
 
+(* The one place [Too_many] is decided. A candidate cap below the limit
+   expires before the limit could be reached, so such a run degrades to
+   anytime instead of refusing. *)
+let admit t ~limit ~max_candidates ~buffer_width =
+  let total = count_candidates t ~buffer_width in
+  (match max_candidates with
+  | Some m when m < limit -> ()
+  | _ -> if total > limit then raise (Combination.Too_many limit));
+  total
+
+(* ------------------------------------------------------------------ *)
+(* The walks *)
+
 (* Covers the float rounding slack of re-associated non-negative sums
-   (≤ ~n·2⁻⁵² relative for n ≤ 62 terms) with four orders of magnitude to
-   spare, so an inflated upper bound never prunes a leaf that could win
-   or tie under the deterministic comparator. *)
+   (≤ ~n·2⁻⁵² relative for n terms — far below this for any pool a
+   buffer could hold) with orders of magnitude to spare, so an inflated
+   upper bound never prunes a leaf that could win or tie. *)
 let bound_inflation = 1.0 +. 1e-9
 
-(* One task's mask walk, plain-Exact specialization: every leaf is scored,
-   so with the tick gone (see [count_candidates]) a leaf is just one float
-   compare — and whole subtrees whose inflated upper bound (prefix gain +
-   remaining suffix sum) cannot reach the best-so-far are skipped without
-   visiting them. Neither shortcut is observable: counters are computed
-   arithmetically, the bound is sound (terms are non-negative and the
-   inflation covers re-association slack), and surviving leaves are
-   emitted in the exact leaf order of Combination.walk with the same
-   ascending-slot float association. Two further register-level
-   shortcuts: the pool is width-ascending, so the moment
-   [widths.(i) > remaining] the subtree collapses to its single skip-only
-   leaf; and [taken > 0] is just [mask <> 0]. *)
-let walk_task_fast t plan idx best =
+(* The fast walk, for plain exact selections: every leaf is scored, so
+   with no tick (see [admit]) a leaf is just one float compare — and
+   whole subtrees whose inflated upper bound cannot reach the best-so-far
+   are skipped without visiting them. Surviving leaves are emitted in
+   skip-before-take order with the ascending-slot float association. The
+   pool is width-ascending, so the moment [widths.(i) > remaining] the
+   subtree collapses to its single skip-only leaf. *)
+let walk_task_fast t plan idx c =
   let widths = t.k_widths and terms = t.k_terms and suffix = t.k_suffix in
   let n = Array.length t.k_pool in
-  let mask0, gain0, bits0, _taken0 = prefix_of_task t plan idx in
-  let rec go i remaining mask gain bits =
+  let stack = c.stack in
+  let depth0, gain0, bits0 = prefix_of_task t plan idx stack in
+  let rec go i remaining depth gain bits =
     if i = n then begin
-      if mask <> 0 && gain >= best.bg then consider t best gain bits mask
+      if depth > 0 && gain >= c.bg then consider t c gain bits stack depth
     end
-    else if (gain +. Array.unsafe_get suffix i) *. bound_inflation < best.bg then ()
+    else if (gain +. Array.unsafe_get suffix i) *. bound_inflation < c.bg then ()
     else begin
       let w = Array.unsafe_get widths i in
       if w > remaining then begin
-        if mask <> 0 && gain >= best.bg then consider t best gain bits mask
+        if depth > 0 && gain >= c.bg then consider t c gain bits stack depth
       end
       else begin
-        go (i + 1) remaining mask gain bits;
-        go (i + 1) (remaining - w)
-          (mask lor (1 lsl i))
-          (gain +. Array.unsafe_get terms i)
-          (bits + w)
+        go (i + 1) remaining depth gain bits;
+        Array.unsafe_set stack depth i;
+        go (i + 1) (remaining - w) (depth + 1) (gain +. Array.unsafe_get terms i) (bits + w)
       end
     end
   in
-  go
-    (Combination.task_start plan idx)
-    (Combination.task_remaining plan idx)
-    mask0 gain0 bits0
+  go (Combination.task_start plan idx) (Combination.task_remaining plan idx) depth0 gain0 bits0
 
-(* The Exact_maximal walk: skip-before-take, min_skipped maximality —
-   the exact leaf order of Combination.walk. [scored] counts the leaves
-   that pass the maximality filter, so here no subtree may be skipped on
-   gain grounds (it could hide maximal leaves the counter must see); only
-   the width-ascending skip-tail collapse applies, which emits the same
-   leaves. *)
-let walk_task_maximal t plan idx ~scored best =
-  let widths = t.k_widths and terms = t.k_terms in
-  let n = Array.length t.k_pool in
-  let mask0, gain0, bits0, _taken0 = prefix_of_task t plan idx in
-  let rec go i remaining min_skipped mask gain bits =
-    if i = n then leaf remaining min_skipped mask gain bits
-    else begin
-      let w = Array.unsafe_get widths i in
-      if w > remaining then leaf remaining (min min_skipped w) mask gain bits
-      else begin
-        go (i + 1) remaining (min min_skipped w) mask gain bits;
-        go (i + 1) (remaining - w) min_skipped
-          (mask lor (1 lsl i))
-          (gain +. Array.unsafe_get terms i)
-          (bits + w)
-      end
-    end
-  and leaf remaining min_skipped mask gain bits =
-    if mask <> 0 && min_skipped > remaining then begin
-      incr scored;
-      if gain >= best.bg then consider t best gain bits mask
-    end
-  in
-  go
-    (Combination.task_start plan idx)
-    (Combination.task_remaining plan idx)
-    (Combination.task_min_skipped plan idx)
-    mask0 gain0 bits0
-
-let finish t ~best ~streamed ~scored =
-  if not (has_best best) then None
-  else
-    Some
-      {
-        sel_messages = messages_of_mask t best.bmask;
-        sel_gain = best.bg;
-        sel_streamed = streamed;
-        sel_scored = scored;
-      }
-
-(* The exact engine: same plan split, same domain fan-out as Select's
-   streaming engine. The candidate budget is settled before the walk —
-   [count_candidates] tells us the exact streamed total, which exceeds
-   the limit iff the streaming engine's per-leaf tick would eventually
-   raise — so the walks run tick-free and [Too_many] fires upfront. *)
-let select_exact ?(only_maximal = false) ~limit ~jobs t ~buffer_width =
-  let pool_list = Array.to_list t.k_pool in
-  let streamed = count_candidates t ~buffer_width in
-  if streamed > limit then raise (Combination.Too_many limit);
-  if jobs <= 1 then begin
-    let plan = Combination.plan ~depth:0 pool_list ~width:buffer_width in
-    let best = no_best () in
-    if only_maximal then begin
-      let scored = ref 0 in
-      for idx = 0 to Combination.n_tasks plan - 1 do
-        walk_task_maximal t plan idx ~scored best
-      done;
-      finish t ~best ~streamed ~scored:!scored
-    end
-    else begin
-      for idx = 0 to Combination.n_tasks plan - 1 do
-        walk_task_fast t plan idx best
-      done;
-      finish t ~best ~streamed ~scored:streamed
-    end
-  end
-  else begin
-    let plan = Combination.plan pool_list ~width:buffer_width in
-    let ntasks = Combination.n_tasks plan in
-    let results = Array.init ntasks (fun _ -> no_best ()) in
-    let next = Atomic.make 0 in
-    let scored = Atomic.make 0 in
-    let failed = Atomic.make None in
-    let work () =
-      try
-        let my_scored = ref 0 in
-        let continue = ref true in
-        while !continue do
-          match Atomic.get failed with
-          | Some _ -> continue := false
-          | None ->
-              let idx = Atomic.fetch_and_add next 1 in
-              if idx >= ntasks then continue := false
-              else if only_maximal then
-                walk_task_maximal t plan idx ~scored:my_scored results.(idx)
-              else walk_task_fast t plan idx results.(idx)
-        done;
-        ignore (Atomic.fetch_and_add scored !my_scored)
-      with e -> Atomic.set failed (Some e)
-    in
-    let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn work) in
-    work ();
-    Array.iter Domain.join domains;
-    (match Atomic.get failed with Some e -> raise e | None -> ());
-    let best = Array.fold_left (merge_best t) (no_best ()) results in
-    finish t ~best ~streamed ~scored:(if only_maximal then Atomic.get scored else streamed)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Delta re-selection: exact branch-and-bound seeded by prior bests. *)
-
-type reselection = {
-  r_messages : Message.t list;
-  r_gain : float;
-  r_seeds : int;  (* distinct feasible seeds re-scored *)
-  r_streamed : int;
-  r_scored : int;
-  r_pruned_subtrees : int;
-}
-
-let walk_task_bb t plan idx ~only_maximal ~incumbent ~tick ~scored ~pruned best =
+(* The ticked walk. With [only_maximal], a leaf is scored only when no
+   fitting strict superset exists: every pool message is taken or skipped
+   along the path, so that holds exactly when the narrowest skipped
+   message no longer fits the remaining width. *)
+let walk_task t plan idx ~only_maximal ~incumbent ~budget c =
   let widths = t.k_widths and terms = t.k_terms and suffix = t.k_suffix in
   let n = Array.length t.k_pool in
-  let mask0, gain0, bits0, taken0 = prefix_of_task t plan idx in
-  (* task-local incumbent: pruning depends only on the seeds and this
-     task's own (deterministic) walk order, never on sibling-task timing,
-     so explored/scored totals are identical at any job count *)
+  let stack = c.stack in
+  let depth0, gain0, bits0 = prefix_of_task t plan idx stack in
   let inc = ref incumbent in
-  let rec go i remaining taken min_skipped mask gain bits =
-    if i = n then leaf remaining taken min_skipped mask gain bits
-    else if (gain +. suffix.(i)) *. bound_inflation < !inc then incr pruned
+  let rec go i remaining min_skipped depth gain bits =
+    if i = n then leaf remaining min_skipped depth gain bits
+    else if (gain +. Array.unsafe_get suffix i) *. bound_inflation < !inc then
+      c.pruned <- c.pruned + 1
     else begin
       let w = Array.unsafe_get widths i in
-      if w > remaining then leaf remaining taken (min min_skipped w) mask gain bits
+      if w > remaining then leaf remaining (Int.min min_skipped w) depth gain bits
       else begin
-        go (i + 1) remaining taken (min min_skipped w) mask gain bits;
-        go (i + 1) (remaining - w) (taken + 1) min_skipped
-          (mask lor (1 lsl i))
+        go (i + 1) remaining (Int.min min_skipped w) depth gain bits;
+        Array.unsafe_set stack depth i;
+        go (i + 1) (remaining - w) min_skipped (depth + 1)
           (gain +. Array.unsafe_get terms i)
           (bits + w)
       end
     end
-  and leaf remaining taken min_skipped mask gain bits =
-    if taken > 0 then begin
-      tick ();
+  and leaf remaining min_skipped depth gain bits =
+    if depth > 0 then begin
+      Budget.tick budget;
       if gain > !inc then inc := gain;
       if not (only_maximal && min_skipped <= remaining) then begin
-        incr scored;
-        if gain >= best.bg then consider t best gain bits mask
+        c.scored <- c.scored + 1;
+        if gain >= c.bg then consider t c gain bits stack depth
       end
     end
   in
   go
     (Combination.task_start plan idx)
     (Combination.task_remaining plan idx)
-    taken0
     (Combination.task_min_skipped plan idx)
-    mask0 gain0 bits0
+    depth0 gain0 bits0
 
-let reselect ?(only_maximal = false) ~limit ~jobs ~seeds t ~buffer_width =
+(* Run [body idx cell] over every plan task across [jobs] domains; tasks
+   are claimed in plan order from a shared counter, and claiming stops
+   once [stop ()] holds. Each domain folds its tasks into a cell of its
+   own, so a walk's bound can prune against everything that domain has
+   seen; the best is unique, so how tasks landed on domains never shows
+   in the merged result. Returns the per-domain cells. *)
+let fan_out t ~jobs ~stop plan body =
+  let ntasks = Combination.n_tasks plan in
+  let cells = Array.init (max 1 jobs) (fun _ -> cell t) in
+  let next = Atomic.make 0 in
+  let failed = Atomic.make None in
+  let work c () =
+    try
+      let continue = ref true in
+      while !continue do
+        if stop () || Atomic.get failed <> None then continue := false
+        else begin
+          let idx = Atomic.fetch_and_add next 1 in
+          if idx >= ntasks then continue := false else body idx c
+        end
+      done
+    with e -> Atomic.set failed (Some e)
+  in
+  let domains = Array.init (Array.length cells - 1) (fun w -> Domain.spawn (work cells.(w + 1))) in
+  work cells.(0) ();
+  Array.iter Domain.join domains;
+  (match Atomic.get failed with Some e -> raise e | None -> ());
+  cells
+
+let best_of_cells t cells = Array.fold_left (fun acc c -> merge t acc (best c)) None cells
+let sum_cells f cells = Array.fold_left (fun acc c -> acc + f c) 0 cells
+
+(* ------------------------------------------------------------------ *)
+(* Drivers *)
+
+type search = {
+  s_best : candidate option;
+  s_seeds : int;
+  s_explored : int;
+  s_scored : int;
+  s_pruned : int;
+  s_complete : bool;
+}
+
+let search ?(only_maximal = false) ~jobs ~seeds ~budget t ~buffer_width =
   (* a usable seed names only pool messages, is non-empty, and fits the
      buffer — i.e. it is a candidate of this run, so its exact re-scored
-     gain lower-bounds the best achievable gain (gain is monotone under
-     superset even in float: terms are non-negative) *)
-  let masks =
-    List.filter_map (mask_of_names t) seeds
-    |> List.filter (fun m -> m <> 0 && bits_of_mask t m <= buffer_width)
-    |> List.sort_uniq compare
+     gain lower-bounds the best achievable gain *)
+  let seeds =
+    List.filter_map (candidate_of_names t) seeds
+    |> List.filter (fun c -> Array.length c.c_slots > 0 && c.c_bits <= buffer_width)
+    |> List.sort_uniq (fun a b -> compare a.c_slots b.c_slots)
   in
-  let incumbent =
-    List.fold_left (fun acc m -> Float.max acc (gain_of_mask t m)) neg_infinity masks
+  let incumbent = List.fold_left (fun acc c -> Float.max acc c.c_gain) neg_infinity seeds in
+  (* a fixed-depth plan whatever the job count: task-local pruning then
+     depends only on the task decomposition, not on the schedule *)
+  let plan = plan t ~buffer_width in
+  let cells =
+    fan_out t ~jobs ~stop:(fun () -> Budget.expired budget) plan (fun idx c ->
+        try walk_task t plan idx ~only_maximal ~incumbent ~budget c with Budget.Expired -> ())
   in
-  let pool_list = Array.to_list t.k_pool in
-  (* a fixed-depth plan whatever the job count: pruning totals then depend
-     only on the task decomposition, not on how tasks are scheduled *)
-  let plan = Combination.plan pool_list ~width:buffer_width in
-  let ntasks = Combination.n_tasks plan in
-  let finish_r best ~streamed ~scored ~pruned =
-    match finish t ~best ~streamed ~scored with
-    | None -> None
-    | Some sel ->
-        Some
-          {
-            r_messages = sel.sel_messages;
-            r_gain = sel.sel_gain;
-            r_seeds = List.length masks;
-            r_streamed = streamed;
-            r_scored = scored;
-            r_pruned_subtrees = pruned;
-          }
+  {
+    s_best = best_of_cells t cells;
+    s_seeds = List.length seeds;
+    s_explored = Budget.explored budget;
+    s_scored = sum_cells (fun c -> c.scored) cells;
+    s_pruned = sum_cells (fun c -> c.pruned) cells;
+    s_complete = not (Budget.expired budget);
+  }
+
+type selection = {
+  sel_messages : Message.t list;
+  sel_gain : float;
+  sel_streamed : int;  (* fitting candidates: the exact count *)
+  sel_scored : int;  (* candidates scored *)
+}
+
+let select_exact ?(only_maximal = false) ~limit ~jobs t ~buffer_width =
+  let streamed = admit t ~limit ~max_candidates:None ~buffer_width in
+  let found, scored =
+    if only_maximal then
+      let s = search ~only_maximal ~jobs ~seeds:[] ~budget:(Budget.make ()) t ~buffer_width in
+      (s.s_best, s.s_scored)
+    else
+      (* a sequential run walks the whole tree as one task: no plan to
+         build, no prefixes to replay *)
+      let plan =
+        if jobs <= 1 then Combination.plan ~depth:0 (Array.to_list t.k_pool) ~width:buffer_width
+        else plan t ~buffer_width
+      in
+      let cells = fan_out t ~jobs ~stop:(fun () -> false) plan (walk_task_fast t plan) in
+      (best_of_cells t cells, streamed)
   in
-  if jobs <= 1 then begin
-    let count = ref 0 in
-    let tick () =
-      incr count;
-      if !count > limit then raise (Combination.Too_many limit)
-    in
-    let scored = ref 0 and pruned = ref 0 in
-    let best = no_best () in
-    for idx = 0 to ntasks - 1 do
-      walk_task_bb t plan idx ~only_maximal ~incumbent ~tick ~scored ~pruned best
-    done;
-    finish_r best ~streamed:!count ~scored:!scored ~pruned:!pruned
-  end
+  Option.map
+    (fun c ->
+      { sel_messages = messages t c; sel_gain = c.c_gain; sel_streamed = streamed; sel_scored = scored })
+    found
+
+(* ------------------------------------------------------------------ *)
+(* Coverage: Definition 7 as a word-parallel union/popcount. Identical to
+   Coverage.compute because each slot's bitset marks exactly the
+   destination states of that base's edges. *)
+
+let coverage t ~selected =
+  if t.k_n_states = 0 then 0.0
   else begin
-    let results = Array.init ntasks (fun _ -> no_best ()) in
-    let next = Atomic.make 0 in
-    let candidates = Atomic.make 0 in
-    let scored = Atomic.make 0 in
-    let pruned = Atomic.make 0 in
-    let failed = Atomic.make None in
-    let tick () =
-      if Atomic.fetch_and_add candidates 1 >= limit then raise (Combination.Too_many limit)
-    in
-    let work () =
-      try
-        let my_scored = ref 0 and my_pruned = ref 0 in
-        let continue = ref true in
-        while !continue do
-          match Atomic.get failed with
-          | Some _ -> continue := false
-          | None ->
-              let idx = Atomic.fetch_and_add next 1 in
-              if idx >= ntasks then continue := false
-              else
-                walk_task_bb t plan idx ~only_maximal ~incumbent ~tick ~scored:my_scored
-                  ~pruned:my_pruned results.(idx)
-        done;
-        ignore (Atomic.fetch_and_add scored !my_scored);
-        ignore (Atomic.fetch_and_add pruned !my_pruned)
-      with e -> Atomic.set failed (Some e)
-    in
-    let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn work) in
-    work ();
-    Array.iter Domain.join domains;
-    (match Atomic.get failed with Some e -> raise e | None -> ());
-    let best = Array.fold_left (merge_best t) (no_best ()) results in
-    finish_r best ~streamed:(Atomic.get candidates) ~scored:(Atomic.get scored)
-      ~pruned:(Atomic.get pruned)
+    let sets = ref [] in
+    Array.iteri
+      (fun i (m : Message.t) -> if selected m.Message.name then sets := t.k_states.(i) :: !sets)
+      t.k_pool;
+    float_of_int (Bitset.popcount_union !sets) /. float_of_int t.k_n_states
   end

@@ -1,66 +1,149 @@
-(** The word-parallel selection kernel.
+(** The word-parallel selection kernel — the one Step-1/2 engine.
 
     Precomputes per-message statistics of an interleaved flow into flat
     arrays over the canonical (width-ascending) pool — trace widths, gain
     terms, suffix term sums, and per-message destination-state bitsets
-    ({!Bitset}) — and represents a candidate combination as one int mask
-    over pool slots. Step-1/2 enumeration then runs on ints and floats
-    only, and coverage becomes a word-OR/popcount fold.
+    ({!Bitset}) — and walks the width-pruned subset tree on ints and
+    floats only; coverage becomes a word-OR/popcount fold. A candidate on
+    the walk is a depth-indexed stack of taken pool slots, so any pool
+    size works.
 
     Bit-identity contract: takes along any root-to-leaf walk path happen
-    in ascending slot order, so accumulating term array entries in that
-    order reproduces the streaming engine's incremental float sums
-    exactly; the task decomposition is {!Combination.plan}'s, so counter
-    totals and [Too_many] behavior are shared by construction, and the
-    unique best under the deterministic comparator is identical at any
-    job count. *)
+    in ascending slot order, so every candidate's gain equals, bit for
+    bit, the gain the brute-force list path ([Combination.enumerate]
+    scored by [Select.step2]) computes for it; the unique best under
+    {!better} is therefore the list oracle's answer — same names, same
+    gain bits, same [bits_used] — at any job count. Counts and the
+    [Combination.Too_many] decision come from {!count_candidates} before
+    any walk starts. *)
 
 type t
-
-(** Pool slots a mask can address (62 — one OCaml int, sign bit unused).
-    {!make} rejects larger pools; [Select] falls back to the streaming
-    engine for them. *)
-val max_pool : int
 
 (** [make inter] precomputes the kernel: builds the evaluator, the term
     and width arrays, the suffix sums and the per-message state bitsets.
     One O(pool + edges) pass; the result is immutable and safe to share
-    read-only across domains. Raises [Invalid_argument] when the pool
-    exceeds {!max_pool}. *)
+    read-only across domains. *)
 val make : Interleave.t -> t
 
 val n_messages : t -> int
 
-(** The canonical width-ascending pool; masks index into it. *)
+(** The canonical width-ascending pool; candidate slots index into it. *)
 val pool : t -> Message.t array
 
-(** [mask_of_names k names] is the mask selecting the named pool slots,
-    or [None] if any name is not in the pool. *)
-val mask_of_names : t -> string list -> int option
+(** [plan k ~buffer_width] is {!Combination.plan}'s default decomposition
+    of this pool — the task split every ticked walk, and the supervised
+    engine's journal, is expressed in. *)
+val plan : t -> buffer_width:int -> Combination.plan
 
-(** Pool messages of a mask in ascending slot (take) order — the order
-    selection results list messages in. *)
-val messages_of_mask : t -> int -> Message.t list
+(** {1 Candidates} *)
 
-(** Ascending-slot term sum: bit-identical to the gain a live walk
-    computes for the same candidate. *)
-val gain_of_mask : t -> int -> float
+(** A scored candidate: its pool slots in ascending order, its
+    ascending-slot gain sum and its summed trace width. *)
+type candidate = { c_slots : int array; c_gain : float; c_bits : int }
 
-(** Summed trace width of a mask's messages. *)
-val bits_of_mask : t -> int -> int
+(** [candidate_of_names k names] re-scores a candidate given by message
+    names (duplicates ignored) — bit-identical to the gain a live walk
+    computes for it — or [None] if a name is not in the pool. *)
+val candidate_of_names : t -> string list -> candidate option
+
+(** Pool messages of a candidate in ascending slot (take) order — the
+    order selection results list messages in. *)
+val messages : t -> candidate -> Message.t list
 
 (** Sorted name list — the deterministic tie-break key. *)
-val key_of_mask : t -> int -> string list
+val key : t -> candidate -> string list
 
-(** [coverage k ~selected] is Definition 7 computed as a word-parallel
-    union/popcount over the per-message state bitsets — identical to
-    [Coverage.compute] on the same predicate. *)
-val coverage : t -> selected:(string -> bool) -> float
+(** The strict "better candidate" order: higher gain (exact float
+    compare), then more bits, then lexicographically smaller {!key}.
+    Irreflexive, transitive and total on distinct candidates, so the best
+    is unique. *)
+val better : t -> candidate -> candidate -> bool
 
-(** Outcome of an exact kernel fold. [sel_streamed] counts candidates
-    ticked (before the maximality filter), [sel_scored] the leaves scored
-    — the same quantities the streaming engine's telemetry counters
-    report, partition-invariant across job counts. *)
+(** [merge k a b] keeps the better of two optional bests. *)
+val merge : t -> candidate option -> candidate option -> candidate option
+
+(** {1 Counting and the limit} *)
+
+(** [count_candidates k ~buffer_width] is the number of non-empty pool
+    subsets that fit the buffer — exactly the leaves a full walk visits —
+    by a knapsack-counting DP in O(pool · width); saturates far above any
+    practical limit. *)
+val count_candidates : t -> buffer_width:int -> int
+
+(** [admit k ~limit ~max_candidates ~buffer_width] is the single
+    enumeration guard of every exact run: it returns the candidate count,
+    and raises [Combination.Too_many limit] when that count exceeds
+    [limit] — unless a [max_candidates] cap below [limit] would stop the
+    run first, in which case the run degrades to anytime instead. *)
+val admit : t -> limit:int -> max_candidates:int option -> buffer_width:int -> int
+
+(** {1 The ticked walk} *)
+
+(** A walk's best-so-far, work counters and scratch stack. One cell may
+    fold several tasks; a domain walks with one cell at a time. *)
+type cell
+
+val cell : t -> cell
+
+(** The cell's best candidate so far. *)
+val best : cell -> candidate option
+
+(** [walk_task k plan i ~only_maximal ~incumbent ~budget c] walks task
+    [i] of [plan] (built by {!plan}), ticking [budget] once per visited
+    leaf and folding scored leaves into [c]. [only_maximal] scores only
+    inclusion-maximal candidates. Subtrees whose inflated upper bound is
+    strictly below the task-local incumbent (initially [incumbent], then
+    the best gain this task has seen) are pruned, so the task's best is
+    exact whenever it beats or ties [incumbent]. Raises {!Budget.Expired}
+    mid-walk; [c] then holds the best of the leaves visited so far. *)
+val walk_task :
+  t ->
+  Combination.plan ->
+  int ->
+  only_maximal:bool ->
+  incumbent:float ->
+  budget:Budget.t ->
+  cell ->
+  unit
+
+(** Outcome of {!search}: the best candidate found; the distinct feasible
+    seeds re-scored; the leaves ticked ([Budget.explored]); leaves scored
+    and subtrees pruned; and whether the walk finished before any budget
+    expired. Counters are identical at any job count when complete. *)
+type search = {
+  s_best : candidate option;
+  s_seeds : int;
+  s_explored : int;
+  s_scored : int;
+  s_pruned : int;
+  s_complete : bool;
+}
+
+(** [search ~jobs ~seeds ~budget k ~buffer_width] runs the ticked walk
+    over every task of {!plan} across [jobs] domains. Each seed (a
+    candidate as message names, typically a journalled best of a prior
+    run) is re-scored under this kernel; seeds naming unknown messages,
+    empty ones and ones that no longer fit are dropped, and the best seed
+    gain becomes the pruning incumbent — which can never exclude a leaf
+    that would win or tie, so a complete search returns the exact best.
+    On budget expiry the search stops and returns the best of the leaves
+    visited. Does not check the limit: call {!admit} first. *)
+val search :
+  ?only_maximal:bool ->
+  jobs:int ->
+  seeds:string list list ->
+  budget:Budget.t ->
+  t ->
+  buffer_width:int ->
+  search
+
+(** {1 Exact selection} *)
+
+(** Outcome of an exact kernel run. [sel_streamed] is the fitting
+    candidate count ({!count_candidates}); [sel_scored] the candidates
+    scored — all of them, or with [only_maximal] the inclusion-maximal
+    leaves the bound-pruned walk visited. Both are identical at any job
+    count. *)
 type selection = {
   sel_messages : Message.t list;
   sel_gain : float;
@@ -69,44 +152,14 @@ type selection = {
 }
 
 (** [select_exact ~limit ~jobs k ~buffer_width] is the exact Step-1/2
-    fold on the kernel: same plan split, same domain fan-out and same
-    atomic candidate budget as the streaming engine, bit-identical
-    results. [None] when no message fits. Raises [Combination.Too_many]
-    past [limit] candidates. *)
+    selection: {!admit}, then the tick-free fast walk (bound-pruned against
+    the best-so-far) across [jobs] domains — or, with [only_maximal], an
+    unbudgeted {!search}. [None] when no message fits. Raises
+    [Combination.Too_many] past [limit] candidates. *)
 val select_exact :
   ?only_maximal:bool -> limit:int -> jobs:int -> t -> buffer_width:int -> selection option
 
-(** Outcome of a delta re-selection. [r_seeds] counts the distinct
-    feasible seeds re-scored; [r_streamed]/[r_scored] count the
-    branch-and-bound walk's work (strictly fewer than a full fold when a
-    seed prunes anything); [r_pruned_subtrees] the subtrees cut. All
-    partition-invariant across job counts. *)
-type reselection = {
-  r_messages : Message.t list;
-  r_gain : float;
-  r_seeds : int;
-  r_streamed : int;
-  r_scored : int;
-  r_pruned_subtrees : int;
-}
-
-(** [reselect ~limit ~jobs ~seeds k ~buffer_width] is {!select_exact} as
-    an exact branch-and-bound: each seed (a candidate as a message-name
-    list, typically a journalled best from a prior run of a slightly
-    different scenario) is re-scored under this kernel's terms; seeds
-    naming unknown messages, empty ones and ones that no longer fit are
-    dropped. The best seed gain becomes the pruning incumbent: a subtree
-    is cut when its inflated upper bound (prefix gain + remaining suffix
-    term sum) is strictly below the incumbent, which can never exclude a
-    leaf that would win or tie — the result is bit-identical to a
-    from-scratch run. Pruning uses task-local incumbents only, so the
-    counters are deterministic at any job count. With no usable seed the
-    walk degenerates to the full exact fold. *)
-val reselect :
-  ?only_maximal:bool ->
-  limit:int ->
-  jobs:int ->
-  seeds:string list list ->
-  t ->
-  buffer_width:int ->
-  reselection option
+(** [coverage k ~selected] is Definition 7 computed as a word-parallel
+    union/popcount over the per-message state bitsets — identical to
+    [Coverage.compute] on the same predicate. *)
+val coverage : t -> selected:(string -> bool) -> float

@@ -4,8 +4,7 @@
 module Tel = Flowtrace_telemetry.Telemetry
 
 (* Only partition-invariant quantities become counters, so the totals are
-   bit-identical whatever ~jobs splits the subset tree into. Per-worker
-   load (task steal counts) goes into span args instead. *)
+   bit-identical whatever ~jobs splits the subset tree into. *)
 let c_runs = Tel.Counter.v "select.runs"
 let c_streamed = Tel.Counter.v "select.candidates_streamed"
 let c_scored = Tel.Counter.v "select.candidates_scored"
@@ -24,12 +23,6 @@ let c_reselect_pruned = Tel.Counter.v "select.reselect.subtrees_pruned"
 
 type strategy = Exact | Exact_maximal | Greedy
 
-(* Which Step-1/2 implementation runs an exact unbudgeted search. [Auto]
-   picks the word-parallel kernel whenever the pool fits its mask width
-   (Kernel.max_pool slots) and falls back to the streaming walk beyond;
-   the two are bit-identical, so the choice is purely a speed matter. *)
-type engine = Auto | Stream | Bitset
-
 (* How complete the search behind a result was. [Exact] means the requested
    strategy ran to completion; the other tiers mean a budget (wall-clock
    deadline or candidate cap) expired and the result degraded to the best
@@ -37,15 +30,15 @@ type engine = Auto | Stream | Bitset
 module Tier = struct
   type t =
     | Exact
-    | Anytime of { explored : int; total_estimate : int }
+    | Anytime of { explored : int; total : int }
     | Greedy_fallback
 
   let is_degraded = function Exact -> false | Anytime _ | Greedy_fallback -> true
 
   let to_string = function
     | Exact -> "exact"
-    | Anytime { explored; total_estimate } ->
-        Printf.sprintf "anytime (best of %d of ~%d candidates)" explored total_estimate
+    | Anytime { explored; total } ->
+        Printf.sprintf "anytime (best of %d of %d candidates)" explored total
     | Greedy_fallback -> "greedy-fallback (budget expired before any candidate)"
 end
 
@@ -143,287 +136,44 @@ let greedy inter ~buffer_width =
   in
   go [] buffer_width pool
 
-(* ------------------------------------------------------------------ *)
-(* Streaming exact engine.
-
-   Instead of materializing every fitting combination and scoring the list
-   (peak memory proportional to the candidate count), the subset-tree walk
-   threads an incrementally scored path: gain and bit totals extend by one
-   term per taken message, so each candidate costs O(1) at its leaf and the
-   only live state is the current branch. The per-message terms are added
-   in the same width-ascending order [Infogain.eval] folds a materialized
-   candidate in, so the scores are bit-for-bit identical to the list-based
-   path — and the best candidate under {!better} is unique (distinct
-   candidates have distinct sorted name lists), so any traversal or merge
-   order yields the same selection. *)
-
-module Path = struct
-  type t = { pg : float; pb : int; pmsgs : Message.t list (* reversed take order *) }
-
-  let empty = { pg = 0.0; pb = 0; pmsgs = [] }
-
-  let extend ev p (m : Message.t) =
-    {
-      pg = p.pg +. Infogain.eval_base ev m.Message.name;
-      pb = p.pb + Message.trace_width m;
-      pmsgs = m :: p.pmsgs;
-    }
-
-  let gain p = p.pg
-  let bits p = p.pb
-  let messages p = List.rev p.pmsgs
-  let key p = List.sort String.compare (List.map (fun m -> m.Message.name) p.pmsgs)
-
-  (* Mirrors {!better} with the name-list tie-break computed lazily: sorted
-     name keys are only built on an exact (gain, bits) tie. Exact float
-     comparison keeps the order total and transitive — an epsilon here
-     broke transitivity over chains of near-ties. *)
-  let better a b =
-    if a.pg <> b.pg then a.pg > b.pg
-    else if a.pb <> b.pb then a.pb > b.pb
-    else key a < key b
-
-  let merge best candidate =
-    match (best, candidate) with
-    | None, c -> c
-    | b, None -> b
-    | Some b, Some c -> if better c b then Some c else Some b
-end
-
-let path0 = Path.empty
-let merge_best = Path.merge
-
-let exact_stream ~maximal ~limit ~jobs inter ~buffer_width =
-  let ev = Infogain.evaluator inter in
-  let take = Path.extend ev in
-  let leaf best p = merge_best best (Some p) in
-  let pool = Interleave.messages inter in
-  (* [track] is latched once per run: when telemetry is off the fold uses
-     the bare closures and the walk costs exactly what it did before. *)
-  let track = Tel.enabled () in
-  let best =
-    if jobs <= 1 then begin
-      (* single walk, local candidate budget *)
-      let plan = Combination.plan ~depth:0 pool ~width:buffer_width in
-      let count = ref 0 in
-      let tick () =
-        incr count;
-        if !count > limit then raise (Combination.Too_many limit)
-      in
-      let leaves = ref 0 in
-      let leaf =
-        if track then fun best p ->
-          incr leaves;
-          merge_best best (Some p)
-        else leaf
-      in
-      let r =
-        Combination.fold_task plan 0 ~only_maximal:maximal ~tick ~take ~path:path0 ~leaf
-          ~init:None
-      in
-      if track then begin
-        Tel.Counter.add c_streamed !count;
-        Tel.Counter.add c_scored !leaves;
-        Tel.Counter.add c_pruned (!count - !leaves)
-      end;
-      r
-    end
-    else begin
-      (* fan the subtree tasks out across domains; tasks are claimed from a
-         shared counter (work stealing), the candidate budget is one atomic
-         counter, and per-task bests are merged in task order. The merge
-         order is immaterial for the result (the best is unique) but keeps
-         the reduction deterministic by construction. *)
-      let plan = Combination.plan pool ~width:buffer_width in
-      let ntasks = Combination.n_tasks plan in
-      let results = Array.make ntasks None in
-      let next = Atomic.make 0 in
-      let candidates = Atomic.make 0 in
-      let failed = Atomic.make None in
-      let tick () =
-        if Atomic.fetch_and_add candidates 1 >= limit then raise (Combination.Too_many limit)
-      in
-      let leaves = Atomic.make 0 in
-      let leaf =
-        if track then fun best p ->
-          ignore (Atomic.fetch_and_add leaves 1);
-          merge_best best (Some p)
-        else leaf
-      in
-      let work () =
-        (* per-worker stats are decomposition-dependent, so they are span
-           args (one select.worker span per domain), never counters *)
-        let my_tasks = ref 0 in
-        let body () =
-          try
-            let continue = ref true in
-            while !continue do
-              match Atomic.get failed with
-              | Some _ -> continue := false
-              | None ->
-                  let t = Atomic.fetch_and_add next 1 in
-                  if t >= ntasks then continue := false
-                  else begin
-                    incr my_tasks;
-                    results.(t) <-
-                      Combination.fold_task plan t ~only_maximal:maximal ~tick ~take ~path:path0
-                        ~leaf ~init:None
-                  end
-            done
-          with e -> Atomic.set failed (Some e)
-        in
-        if track then
-          Tel.with_span "select.worker"
-            ~args:(fun () -> [ ("tasks", Flowtrace_telemetry.Event.Int !my_tasks) ])
-            body
-        else body ()
-      in
-      let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn work) in
-      work ();
-      Array.iter Domain.join domains;
-      (match Atomic.get failed with Some e -> raise e | None -> ());
-      if track then begin
-        let n = Atomic.get candidates and l = Atomic.get leaves in
-        Tel.Counter.add c_streamed n;
-        Tel.Counter.add c_scored l;
-        Tel.Counter.add c_pruned (n - l)
-      end;
-      Array.fold_left merge_best None results
-    end
-  in
-  match best with
-  | None -> invalid_arg "Select: no message fits the trace buffer"
-  | Some p -> (Path.messages p, Path.gain p)
-
-(* ------------------------------------------------------------------ *)
-(* Word-parallel kernel engine: the same walk on precomputed flat arrays
-   and int masks (Kernel). Bit-identical to [exact_stream] — candidates,
-   float sums, limit/Too_many behavior and counter totals all coincide
-   (the counters are settled by Kernel's counting DP rather than per-leaf
-   ticks) — it just runs an order of magnitude faster. The built kernel
-   is returned so [finalize] can compute coverage as a popcount fold. *)
-
-let exact_kernel ~maximal ~limit ~jobs inter ~buffer_width =
-  let k = Kernel.make inter in
-  match Kernel.select_exact ~only_maximal:maximal ~limit ~jobs k ~buffer_width with
-  | None -> invalid_arg "Select: no message fits the trace buffer"
-  | Some sel ->
-      if Tel.enabled () then begin
-        Tel.Counter.add c_streamed sel.Kernel.sel_streamed;
-        Tel.Counter.add c_scored sel.Kernel.sel_scored;
-        Tel.Counter.add c_pruned (sel.Kernel.sel_streamed - sel.Kernel.sel_scored)
-      end;
-      (k, sel.Kernel.sel_messages, sel.Kernel.sel_gain)
-
-(* ------------------------------------------------------------------ *)
-(* Budgeted anytime engine.
-
-   The same task-split walk, but the candidate cap and the wall-clock
-   deadline are checked cooperatively inside [tick], and the best-so-far
-   lives in per-worker cells instead of the fold accumulator — so when a
-   budget expires mid-walk the streamed prefix's best survives the abort.
-   Tasks are claimed in plan order; a run whose budgets never expire
-   explores candidates in exactly the order of the unbudgeted engine and
-   returns the identical (unique-best) result with tier [Exact]. *)
-
-exception Budget_expired
-
-let budgeted_stream ~maximal ~limit ~jobs ~deadline ~max_candidates inter ~buffer_width =
-  let greedy_fallback () =
-    let combo = greedy inter ~buffer_width in
-    if combo = [] then invalid_arg "Select: no message fits the trace buffer";
-    Tel.Counter.incr c_degraded;
-    (combo, Infogain.of_combination inter combo, Tier.Greedy_fallback)
-  in
-  let deadline_passed () =
-    match deadline with None -> false | Some d -> Unix.gettimeofday () > d
-  in
-  if deadline_passed () then greedy_fallback ()
-  else begin
-    let ev = Infogain.evaluator inter in
-    let pool = Interleave.messages inter in
-    let plan = Combination.plan pool ~width:buffer_width in
-    let ntasks = Combination.n_tasks plan in
-    let explored = Atomic.make 0 in
-    let stop = Atomic.make false in
-    let tasks_done = Atomic.make 0 in
-    (* the deadline is only consulted every 256 candidates, so the check
-       costs one comparison on the hot path and at most a 255-candidate
-       overshoot on expiry *)
-    let tick () =
-      if Atomic.get stop then raise Budget_expired;
-      let c = Atomic.fetch_and_add explored 1 + 1 in
-      if c > limit then raise (Combination.Too_many limit);
-      (match max_candidates with
-      | Some m when c > m ->
-          Atomic.set stop true;
-          raise Budget_expired
-      | _ -> ());
-      if c land 255 = 0 && deadline_passed () then begin
-        Atomic.set stop true;
-        raise Budget_expired
-      end
-    in
-    let jobs = max 1 jobs in
-    let cells = Array.make jobs None in
-    let next = Atomic.make 0 in
-    let failed = Atomic.make None in
-    let worker w =
-      try
-        let continue = ref true in
-        while !continue do
-          if Atomic.get stop || Atomic.get failed <> None then continue := false
-          else begin
-            let t = Atomic.fetch_and_add next 1 in
-            if t >= ntasks then continue := false
-            else begin
-              Combination.fold_task plan t ~only_maximal:maximal ~tick ~take:(Path.extend ev)
-                ~path:Path.empty
-                ~leaf:(fun () p -> cells.(w) <- Path.merge cells.(w) (Some p))
-                ~init:();
-              Atomic.incr tasks_done
-            end
-          end
-        done
-      with
-      | Budget_expired -> ()
-      | e -> Atomic.set failed (Some e)
-    in
-    let domains = Array.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1))) in
-    worker 0;
-    Array.iter Domain.join domains;
-    (match Atomic.get failed with Some e -> raise e | None -> ());
-    let best = Array.fold_left Path.merge None cells in
-    let n =
-      let n = Atomic.get explored in
-      match max_candidates with Some m -> min n m | None -> n
-    in
-    if Tel.enabled () then Tel.Counter.add c_streamed n;
-    if not (Atomic.get stop) then
-      match best with
-      | None -> invalid_arg "Select: no message fits the trace buffer"
-      | Some p -> (Path.messages p, Path.gain p, Tier.Exact)
-    else begin
-      match best with
-      | None -> greedy_fallback ()
-      | Some p ->
-          Tel.Counter.incr c_degraded;
-          let completed = Atomic.get tasks_done in
-          let total_estimate =
-            if completed <= 0 then n
-            else max n (int_of_float (float_of_int n *. float_of_int ntasks /. float_of_int completed))
-          in
-          (Path.messages p, Path.gain p, Tier.Anytime { explored = n; total_estimate })
-    end
-  end
-
 let strategy_name = function
   | Exact -> "exact"
   | Exact_maximal -> "exact-maximal"
   | Greedy -> "greedy"
 
+let no_fit () = invalid_arg "Select: no message fits the trace buffer"
+
+let greedy_fallback inter ~buffer_width =
+  let combo = greedy inter ~buffer_width in
+  if combo = [] then no_fit ();
+  Tel.Counter.incr c_degraded;
+  (combo, Infogain.of_combination inter combo, Tier.Greedy_fallback)
+
+(* Budgeted and seeded runs: the kernel's ticked walk. A deadline already
+   past on entry walks nothing; otherwise the limit is settled upfront and
+   an expired budget degrades to the best of the leaves visited. *)
+let search ~maximal ~limit ~jobs ~deadline ~max_candidates ~seeds k inter ~buffer_width =
+  let budget = Budget.make ?deadline ?max_candidates () in
+  if Budget.already_expired budget then (greedy_fallback inter ~buffer_width, None)
+  else begin
+    let total = Kernel.admit k ~limit ~max_candidates ~buffer_width in
+    let s = Kernel.search ~only_maximal:maximal ~jobs ~seeds ~budget k ~buffer_width in
+    let answer =
+      match s.Kernel.s_best with
+      | Some c when s.Kernel.s_complete -> (Kernel.messages k c, c.Kernel.c_gain, Tier.Exact)
+      | Some c ->
+          Tel.Counter.incr c_degraded;
+          ( Kernel.messages k c,
+            c.Kernel.c_gain,
+            Tier.Anytime { explored = s.Kernel.s_explored; total } )
+      | None when s.Kernel.s_complete -> no_fit ()
+      | None -> greedy_fallback inter ~buffer_width
+    in
+    (answer, Some s)
+  end
+
 let step1_step2 ?(strategy = Exact) ?(limit = Combination.default_limit) ?(jobs = 1) ?deadline
-    ?max_candidates ?(engine = Auto) inter ~buffer_width =
+    ?max_candidates inter ~buffer_width =
   Tel.with_span "select.step1_2"
     ~args:(fun () ->
       Flowtrace_telemetry.Event.
@@ -432,40 +182,29 @@ let step1_step2 ?(strategy = Exact) ?(limit = Combination.default_limit) ?(jobs 
   match strategy with
   | Greedy ->
       let combo = greedy inter ~buffer_width in
-      if combo = [] then invalid_arg "Select: no message fits the trace buffer";
+      if combo = [] then no_fit ();
       let gain = Infogain.of_combination inter combo in
       (combo, gain, Tier.Exact, None)
   | Exact | Exact_maximal ->
       let maximal = strategy = Exact_maximal in
+      let k = Kernel.make inter in
       if deadline = None && max_candidates = None then begin
-        let pool_n = List.length (Interleave.messages inter) in
-        let use_kernel =
-          match engine with
-          | Stream -> false
-          | Auto -> pool_n <= Kernel.max_pool
-          | Bitset ->
-              if pool_n > Kernel.max_pool then
-                invalid_arg
-                  (Printf.sprintf
-                     "Select: the bitset engine addresses at most %d pool messages (pool has %d); \
-                      use the streaming engine"
-                     Kernel.max_pool pool_n);
-              true
-        in
-        if use_kernel then
-          let k, combo, gain = exact_kernel ~maximal ~limit ~jobs inter ~buffer_width in
-          (combo, gain, Tier.Exact, Some k)
-        else
-          let combo, gain = exact_stream ~maximal ~limit ~jobs inter ~buffer_width in
-          (combo, gain, Tier.Exact, None)
+        match Kernel.select_exact ~only_maximal:maximal ~limit ~jobs k ~buffer_width with
+        | None -> no_fit ()
+        | Some sel ->
+            if Tel.enabled () then begin
+              Tel.Counter.add c_streamed sel.Kernel.sel_streamed;
+              Tel.Counter.add c_scored sel.Kernel.sel_scored;
+              Tel.Counter.add c_pruned (sel.Kernel.sel_streamed - sel.Kernel.sel_scored)
+            end;
+            (sel.Kernel.sel_messages, sel.Kernel.sel_gain, Tier.Exact, Some k)
       end
       else
-        let combo, gain, tier =
-          (* budgets run on the streaming engine: its cooperative tick is
-             where deadlines and candidate caps are checked *)
-          budgeted_stream ~maximal ~limit ~jobs ~deadline ~max_candidates inter ~buffer_width
+        let (combo, gain, tier), s =
+          search ~maximal ~limit ~jobs ~deadline ~max_candidates ~seeds:[] k inter ~buffer_width
         in
-        (combo, gain, tier, None)
+        Option.iter (fun s -> Tel.Counter.add c_streamed s.Kernel.s_explored) s;
+        (combo, gain, tier, Some k)
 
 let finalize ?(pack = true) ?(scale_partial = false) ?(tier = Tier.Exact) ?kernel inter ~combo
     ~gain ~buffer_width =
@@ -492,14 +231,14 @@ let finalize ?(pack = true) ?(scale_partial = false) ?(tier = Tier.Exact) ?kerne
   in
   { messages = combo; packed; gain; coverage; bits_used = bits; buffer_width; tier }
 
-let select ?strategy ?limit ?jobs ?deadline ?max_candidates ?pack ?scale_partial ?engine inter
+let select ?strategy ?limit ?jobs ?deadline ?max_candidates ?pack ?scale_partial inter
     ~buffer_width =
   Tel.Counter.incr c_runs;
   Tel.with_span "select"
     ~args:(fun () -> [ ("width", Flowtrace_telemetry.Event.Int buffer_width) ])
   @@ fun () ->
   let combo, gain, tier, kernel =
-    step1_step2 ?strategy ?limit ?jobs ?deadline ?max_candidates ?engine inter ~buffer_width
+    step1_step2 ?strategy ?limit ?jobs ?deadline ?max_candidates inter ~buffer_width
   in
   finalize ?pack ?scale_partial ~tier ?kernel inter ~combo ~gain ~buffer_width
 
@@ -519,50 +258,38 @@ type reselect_stats = {
 
 let reselect ?(strategy = Exact) ?(limit = Combination.default_limit) ?(jobs = 1) ?deadline
     ?max_candidates ?pack ?scale_partial ~seeds inter ~buffer_width =
-  let delegate () =
-    ( select ~strategy ~limit ~jobs ?deadline ?max_candidates ?pack ?scale_partial inter
-        ~buffer_width,
-      None )
-  in
   match strategy with
-  | Greedy -> delegate ()
-  | Exact | Exact_maximal ->
-      (* budgets need the streaming engine's cooperative tick; oversized
-         pools exceed the kernel's mask width — both fall back to a full
-         run, which the delta path must always agree with anyway *)
-      if deadline <> None || max_candidates <> None then delegate ()
-      else if List.length (Interleave.messages inter) > Kernel.max_pool then delegate ()
-      else begin
-        Tel.Counter.incr c_reselect_runs;
-        Tel.with_span "select.reselect"
-          ~args:(fun () ->
-            Flowtrace_telemetry.Event.
-              [ ("jobs", Int jobs); ("width", Int buffer_width); ("seeds", Int (List.length seeds)) ])
-        @@ fun () ->
-        let maximal = strategy = Exact_maximal in
-        let k = Kernel.make inter in
-        match Kernel.reselect ~only_maximal:maximal ~limit ~jobs ~seeds k ~buffer_width with
-        | None -> invalid_arg "Select: no message fits the trace buffer"
-        | Some r ->
-            if Tel.enabled () then begin
-              Tel.Counter.add c_reselect_seeds r.Kernel.r_seeds;
-              Tel.Counter.add c_reselect_streamed r.Kernel.r_streamed;
-              Tel.Counter.add c_reselect_scored r.Kernel.r_scored;
-              Tel.Counter.add c_reselect_pruned r.Kernel.r_pruned_subtrees
-            end;
-            let result =
-              finalize ?pack ?scale_partial ~tier:Tier.Exact ~kernel:k inter
-                ~combo:r.Kernel.r_messages ~gain:r.Kernel.r_gain ~buffer_width
-            in
-            ( result,
-              Some
-                {
-                  rs_seeds = r.Kernel.r_seeds;
-                  rs_streamed = r.Kernel.r_streamed;
-                  rs_scored = r.Kernel.r_scored;
-                  rs_pruned_subtrees = r.Kernel.r_pruned_subtrees;
-                } )
-      end
+  | Greedy -> (select ~strategy ?pack ?scale_partial inter ~buffer_width, None)
+  | Exact | Exact_maximal -> (
+      Tel.Counter.incr c_reselect_runs;
+      Tel.with_span "select.reselect"
+        ~args:(fun () ->
+          Flowtrace_telemetry.Event.
+            [ ("jobs", Int jobs); ("width", Int buffer_width); ("seeds", Int (List.length seeds)) ])
+      @@ fun () ->
+      let k = Kernel.make inter in
+      let (combo, gain, tier), s =
+        search ~maximal:(strategy = Exact_maximal) ~limit ~jobs ~deadline ~max_candidates ~seeds
+          k inter ~buffer_width
+      in
+      let result = finalize ?pack ?scale_partial ~tier ~kernel:k inter ~combo ~gain ~buffer_width in
+      match s with
+      | None -> (result, None)
+      | Some s ->
+          if Tel.enabled () then begin
+            Tel.Counter.add c_reselect_seeds s.Kernel.s_seeds;
+            Tel.Counter.add c_reselect_streamed s.Kernel.s_explored;
+            Tel.Counter.add c_reselect_scored s.Kernel.s_scored;
+            Tel.Counter.add c_reselect_pruned s.Kernel.s_pruned
+          end;
+          ( result,
+            Some
+              {
+                rs_seeds = s.Kernel.s_seeds;
+                rs_streamed = s.Kernel.s_explored;
+                rs_scored = s.Kernel.s_scored;
+                rs_pruned_subtrees = s.Kernel.s_pruned;
+              } ))
 
 let pp_result ppf r =
   let packed_names = List.map Packing.qualified r.packed in

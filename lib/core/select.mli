@@ -11,30 +11,16 @@
       term that still fits; O(n) gain evaluations, for large scenarios. *)
 type strategy = Exact | Exact_maximal | Greedy
 
-(** Which implementation runs an exact unbudgeted Step-1/2 search:
-    - [Auto] (the default) picks the word-parallel kernel ({!Kernel})
-      whenever the pool fits its mask width ([Kernel.max_pool] slots) and
-      the streaming walk beyond;
-    - [Stream] forces the streaming walk;
-    - [Bitset] forces the kernel (raises [Invalid_argument] on oversized
-      pools).
-
-    The two engines are bit-identical — same candidates, same float sums,
-    same counter totals, same [Too_many] behavior — so the choice is
-    purely a speed matter. Budgeted (anytime) and greedy runs always use
-    the streaming engine. *)
-type engine = Auto | Stream | Bitset
-
 (** How complete the search behind a result was — the degradation tier of
     an anytime run. *)
 module Tier : sig
   type t =
     | Exact  (** the requested strategy ran to completion *)
-    | Anytime of { explored : int; total_estimate : int }
-        (** a budget ([deadline] / [max_candidates]) expired mid-stream;
-            the result is the best of the [explored] candidates streamed
-            before expiry, out of an estimated [total_estimate]
-            (extrapolated from the completed fraction of the task plan) *)
+    | Anytime of { explored : int; total : int }
+        (** a budget ([deadline] / [max_candidates]) expired mid-walk;
+            the result is the best of the [explored] candidates visited
+            before expiry, out of the [total] fitting candidates
+            ([Kernel.count_candidates]) *)
     | Greedy_fallback
         (** the budget expired before any candidate completed (or was
             already expired on entry); the result is the greedy baseline *)
@@ -85,27 +71,27 @@ val step2 : Interleave.t -> Message.t list list -> Message.t list * float
     [Combination.Too_many]). Raises [Invalid_argument] when no message
     fits the buffer.
 
-    The exact strategies stream the width-pruned subset tree with
-    incrementally scored paths — peak live memory is O(pool), independent
-    of the candidate count. [jobs] (default 1) fans the walk out across
-    that many OCaml domains; the result is identical for any job count
-    (the best candidate under the deterministic tie-break is unique, and
-    per-candidate scores are bit-for-bit equal on every path).
+    The exact strategies run the selection kernel ({!Kernel}) — one
+    engine for every exact run, bit-identical to the brute-force list
+    path ([Combination.enumerate] then {!step2}) on names, gain bits,
+    coverage bits and [bits_used]. [jobs] (default 1) fans the walk out
+    across that many OCaml domains; the result is identical for any job
+    count (the best candidate under the deterministic tie-break is
+    unique, and per-candidate scores are bit-for-bit equal on every
+    path). Whether the candidate count exceeds [limit] is decided once,
+    from {!Kernel.admit}, before any walk.
 
     [deadline] (absolute [Unix.gettimeofday] time) and [max_candidates]
-    turn the exact strategies into anytime searches: the budgets are
-    checked cooperatively inside the streaming fold (the deadline every
-    256 candidates), and on expiry the engine stops cleanly and returns
-    the best-so-far from the streamed prefix with [result.tier =
-    Anytime _] — or the greedy baseline ([Greedy_fallback]) if no
-    candidate had completed. A budgeted run whose budgets never expire is
+    turn the exact strategies into anytime searches on the kernel's
+    ticked walk: the budgets are checked cooperatively once per visited
+    leaf (the deadline every 256 leaves), and on expiry the walk stops
+    cleanly and returns the best of the leaves visited with [result.tier
+    = Anytime _] — or the greedy baseline ([Greedy_fallback]) if none had
+    been scored. A budgeted run whose budgets never expire is
     bit-identical to an unbudgeted one, with tier [Exact]. Degraded
     results from expired budgets are not deterministic across job counts
     (the explored prefix depends on the schedule); only complete runs
-    are.
-
-    [engine] (default [Auto]) picks between the streaming walk and the
-    word-parallel kernel for exact unbudgeted runs; see {!engine}. *)
+    are. *)
 val select :
   ?strategy:strategy ->
   ?limit:int ->
@@ -114,7 +100,6 @@ val select :
   ?max_candidates:int ->
   ?pack:bool ->
   ?scale_partial:bool ->
-  ?engine:engine ->
   Interleave.t ->
   buffer_width:int ->
   result
@@ -125,39 +110,6 @@ val select :
     external engines use when a budget expires before any exact candidate
     completes. *)
 val greedy : Interleave.t -> buffer_width:int -> Message.t list
-
-(** Incrementally scored branches of the streaming walk, exposed for the
-    [lib/runtime] supervisor, which drives {!Combination.fold_task} folds
-    of its own. Extending a path adds the message's gain term and width in
-    take (width-ascending) order, so rebuilding a path by extending along
-    {!Combination.canonical_pool} order reproduces a live walk's float
-    sums bit-for-bit. *)
-module Path : sig
-  type t
-
-  val empty : t
-
-  (** [extend ev p m] scores one more taken message. *)
-  val extend : Infogain.evaluator -> t -> Message.t -> t
-
-  val gain : t -> float
-  val bits : t -> int
-
-  (** Messages in take (width-ascending) order — the order
-      [result.messages] lists them in. *)
-  val messages : t -> Message.t list
-
-  (** Sorted name list — the deterministic tie-break key. *)
-  val key : t -> string list
-
-  (** The engine's strict "better candidate" order: higher gain, then
-      more bits, then lexicographically smaller key. Total on distinct
-      candidates, so the best is unique. *)
-  val better : t -> t -> bool
-
-  (** [merge a b] keeps the better of two optional bests. *)
-  val merge : t option -> t option -> t option
-end
 
 (** [finalize inter ~combo ~gain ~buffer_width] runs Step 3 packing and
     coverage over an already-chosen Step-2 combination and assembles the
@@ -197,10 +149,11 @@ type reselect_stats = {
     bit-identical to a from-scratch {!select} — pruning only cuts
     subtrees whose upper bound is strictly below the incumbent — but
     re-scores strictly fewer candidates whenever a seed is any good.
-    Stats are [Some] when the kernel branch-and-bound ran, [None] when
-    the call delegated to plain {!select} (greedy strategy, budgeted
-    runs, or a pool past [Kernel.max_pool]). Seeds naming unknown
-    messages or no longer fitting the buffer are dropped. *)
+    [deadline] and [max_candidates] budget the walk exactly as in
+    {!select}. Stats are [Some] whenever the kernel walk ran, [None] for
+    the greedy strategy and for a deadline already past on entry (the
+    greedy fallback). Seeds naming unknown messages or no longer fitting
+    the buffer are dropped. *)
 val reselect :
   ?strategy:strategy ->
   ?limit:int ->

@@ -43,31 +43,21 @@ let pp_outcome ppf o =
 
 exception Reject of Diagnostic.t list
 
-(* Rebuild the journalled best as a live scored path. Extending along
-   canonical-pool order replays the walk's take order, so the float sum is
-   the one the original run computed — verified against the stored IEEE-754
-   bits, which also catches a journal paired with the wrong spec revision
-   (same names, different interleavings). *)
-let rebuild_best ev pool path (b : Journal.best) =
-  let want = List.sort_uniq String.compare b.b_names in
-  let sel = List.filter (fun (m : Message.t) -> List.mem m.Message.name want) pool in
-  if List.length sel <> List.length want then
-    raise
-      (Reject
-         [
-           Rt.v "RT004" (Srcspan.none path)
-             "journal best references messages absent from this flow spec";
-         ]);
-  let p = List.fold_left (Select.Path.extend ev) Select.Path.empty sel in
-  if Int64.bits_of_float (Select.Path.gain p) <> b.b_gain || Select.Path.bits p <> b.b_bits then
-    raise
-      (Reject
-         [
-           Rt.v "RT004" (Srcspan.none path)
-             "journal best does not re-score identically; the spec or scoring changed since the \
-              checkpoint was written";
-         ]);
-  p
+(* Re-score a journalled best on the kernel. The ascending-slot sum is
+   the walk's own float association, so a journal written by any run of
+   this spec revision re-derives its stored IEEE-754 bits exactly — and a
+   journal paired with the wrong spec revision (same names, different
+   interleavings) is caught. *)
+let rebuild_best k path (b : Journal.best) =
+  let reject msg = raise (Reject [ Rt.v "RT004" (Srcspan.none path) "%s" msg ]) in
+  match Kernel.candidate_of_names k b.b_names with
+  | None -> reject "journal best references messages absent from this flow spec"
+  | Some c ->
+      if Int64.bits_of_float c.Kernel.c_gain <> b.b_gain || c.Kernel.c_bits <> b.b_bits then
+        reject
+          "journal best does not re-score identically; the spec or scoring changed since the \
+           checkpoint was written";
+      c
 
 let select ?(strategy = Select.Exact) ?(limit = Combination.default_limit) ?(jobs = 1)
     ?(retries = 2) ?backoff ?deadline ?max_candidates ?stride ?checkpoint ?(resume = false)
@@ -75,35 +65,32 @@ let select ?(strategy = Select.Exact) ?(limit = Combination.default_limit) ?(job
   if resume && checkpoint = None then
     invalid_arg "Engine.select: ~resume needs a ~checkpoint path to load";
   let checkpoint_every = max 1 checkpoint_every in
-  let delegate r =
-    {
-      o_result = r;
-      o_status = (if Select.Tier.is_degraded r.Select.tier then Partial else Complete);
-      o_total_tasks = 0;
-      o_done_tasks = 0;
-      o_resumed_tasks = 0;
-      o_failed_tasks = [];
-      o_retries = 0;
-      o_diags = [];
-    }
-  in
   match strategy with
   | Select.Greedy ->
       (* nothing to split, supervise or journal *)
+      let r = Select.select ~strategy ?pack ?scale_partial inter ~buffer_width in
       Ok
-        (delegate
-           (Select.select ~strategy ~limit ~jobs ?deadline ?max_candidates ?pack ?scale_partial
-              inter ~buffer_width))
+        {
+          o_result = r;
+          o_status = Complete;
+          o_total_tasks = 0;
+          o_done_tasks = 0;
+          o_resumed_tasks = 0;
+          o_failed_tasks = [];
+          o_retries = 0;
+          o_diags = [];
+        }
   | Select.Exact | Select.Exact_maximal -> (
       try
         Tel.with_span "runtime.select" (fun () ->
-            let maximal = strategy = Select.Exact_maximal in
-            let ev = Infogain.evaluator inter in
-            let pool = Interleave.messages inter in
-            let cpool = Combination.canonical_pool pool in
-            let plan = Combination.plan pool ~width:buffer_width in
+            let only_maximal = strategy = Select.Exact_maximal in
+            let k = Kernel.make inter in
+            let plan = Kernel.plan k ~buffer_width in
             let ntasks = Combination.n_tasks plan in
-            let fp = Fingerprint.v ~pool ~buffer_width ~strategy ~n_tasks:ntasks in
+            let fp =
+              Fingerprint.v ~pool:(Interleave.messages inter) ~buffer_width ~strategy
+                ~n_tasks:ntasks
+            in
             (* -------- resume -------- *)
             let done_ = Array.make ntasks false in
             let best = ref None in
@@ -127,10 +114,9 @@ let select ?(strategy = Select.Exact) ?(limit = Combination.default_limit) ?(job
                                snap.Journal.s_fingerprint snap.Journal.s_total_tasks fp ntasks;
                            ]);
                     Array.blit snap.Journal.s_done 0 done_ 0 ntasks;
-                    best := Option.map (rebuild_best ev cpool path) snap.Journal.s_best;
+                    best := Option.map (rebuild_best k path) snap.Journal.s_best;
                     List.iter
-                      (fun (id, b) ->
-                        task_bests.(id) <- Some (rebuild_best ev cpool path b))
+                      (fun (id, b) -> task_bests.(id) <- Some (rebuild_best k path b))
                       snap.Journal.s_task_bests;
                     explored0 := snap.Journal.s_explored;
                     diags := warns)
@@ -142,7 +128,7 @@ let select ?(strategy = Select.Exact) ?(limit = Combination.default_limit) ?(job
                 (List.filter (fun t -> not done_.(t)) (List.init ntasks (fun t -> t)))
             in
             (* -------- checkpointing -------- *)
-            let budget = Budget.make ?deadline ?max_candidates ~limit ?stride () in
+            let budget = Budget.make ?deadline ?max_candidates ?stride () in
             let mutex = Mutex.create () in
             let since = ref 0 in
             let ckpt_on = ref (checkpoint <> None) in
@@ -150,11 +136,11 @@ let select ?(strategy = Select.Exact) ?(limit = Combination.default_limit) ?(job
               (* call with [mutex] held *)
               match checkpoint with
               | Some path when !ckpt_on -> (
-                  let persist p =
+                  let persist c =
                     {
-                      Journal.b_names = Select.Path.key p;
-                      b_gain = Int64.bits_of_float (Select.Path.gain p);
-                      b_bits = Select.Path.bits p;
+                      Journal.b_names = Kernel.key k c;
+                      b_gain = Int64.bits_of_float c.Kernel.c_gain;
+                      b_bits = c.Kernel.c_bits;
                     }
                   in
                   let snap =
@@ -204,10 +190,13 @@ let select ?(strategy = Select.Exact) ?(limit = Combination.default_limit) ?(job
                     | None -> assert false);
                   ]
             end;
-            let publish t p =
+            (* a task stopped by budget expiry offers its best-so-far to the
+               anytime answer; it is neither marked done nor journalled *)
+            let partial = ref None in
+            let publish t c =
               Mutex.protect mutex (fun () ->
-                  best := Select.Path.merge !best p;
-                  task_bests.(t) <- p;
+                  best := Kernel.merge k !best c;
+                  task_bests.(t) <- c;
                   done_.(t) <- true;
                   incr since;
                   if !since >= checkpoint_every then begin
@@ -216,18 +205,15 @@ let select ?(strategy = Select.Exact) ?(limit = Combination.default_limit) ?(job
                   end)
             in
             (* -------- the supervised run -------- *)
-            let too_many = Atomic.make None in
             let run_task t =
+              let cell = Kernel.cell k in
               match
-                Combination.fold_task plan t ~only_maximal:maximal
-                  ~tick:(fun () -> Budget.tick budget)
-                  ~take:(Select.Path.extend ev) ~path:Select.Path.empty
-                  ~leaf:(fun acc p -> Select.Path.merge acc (Some p))
-                  ~init:None
+                Kernel.walk_task k plan t ~only_maximal ~incumbent:neg_infinity ~budget cell
               with
-              | p -> publish t p
-              | exception (Combination.Too_many _ as e) ->
-                  Atomic.set too_many (Some e);
+              | () -> publish t (Kernel.best cell)
+              | exception (Budget.Expired as e) ->
+                  Mutex.protect mutex (fun () ->
+                      partial := Kernel.merge k !partial (Kernel.best cell));
                   raise e
             in
             let summary =
@@ -237,16 +223,16 @@ let select ?(strategy = Select.Exact) ?(limit = Combination.default_limit) ?(job
                   retried = 0;
                   stopped = Array.length pending > 0;
                 }
-              else
+              else begin
+                ignore (Kernel.admit k ~limit ~max_candidates ~buffer_width);
                 Supervisor.run ~jobs ~retries ?backoff
-                  ~should_stop:(function
-                    | Budget.Expired | Combination.Too_many _ -> true | _ -> false)
+                  ~should_stop:(function Budget.Expired -> true | _ -> false)
                   ?inject ~tasks:pending run_task
+              end
             in
             Mutex.protect mutex (fun () ->
                 since := 0;
                 write_ckpt ());
-            (match Atomic.get too_many with Some e -> raise e | None -> ());
             let failed =
               List.filteri (fun i _ -> match summary.Supervisor.statuses.(i) with
                   | Supervisor.Gave_up _ -> true
@@ -258,7 +244,8 @@ let select ?(strategy = Select.Exact) ?(limit = Combination.default_limit) ?(job
             let finalize tier combo gain status =
               {
                 o_result =
-                  Select.finalize ?pack ?scale_partial ~tier inter ~combo ~gain ~buffer_width;
+                  Select.finalize ?pack ?scale_partial ~tier ~kernel:k inter ~combo ~gain
+                    ~buffer_width;
                 o_status = status;
                 o_total_tasks = ntasks;
                 o_done_tasks = done_count;
@@ -270,20 +257,16 @@ let select ?(strategy = Select.Exact) ?(limit = Combination.default_limit) ?(job
             in
             if done_count = ntasks && failed = [] then
               match !best with
-              | Some p ->
-                  finalize Select.Tier.Exact (Select.Path.messages p) (Select.Path.gain p)
-                    Complete
+              | Some c -> finalize Select.Tier.Exact (Kernel.messages k c) c.Kernel.c_gain Complete
               | None -> invalid_arg "Select: no message fits the trace buffer"
             else begin
               Tel.Counter.incr c_degraded;
-              match !best with
-              | Some p ->
-                  let estimate =
-                    max explored (explored * ntasks / max 1 done_count)
-                  in
+              match Kernel.merge k !best !partial with
+              | Some c ->
+                  let total = Kernel.count_candidates k ~buffer_width in
                   finalize
-                    (Select.Tier.Anytime { explored; total_estimate = estimate })
-                    (Select.Path.messages p) (Select.Path.gain p) Partial
+                    (Select.Tier.Anytime { explored; total })
+                    (Kernel.messages k c) c.Kernel.c_gain Partial
               | None ->
                   let combo = Select.greedy inter ~buffer_width in
                   if combo = [] then invalid_arg "Select: no message fits the trace buffer";

@@ -1,19 +1,22 @@
 (** The supervised anytime selection engine.
 
-    Runs the same task-split Step-1/2 walk as {!Flowtrace_core.Select},
-    but under supervision: worker-domain faults are retried and contained
-    ({!Supervisor}), wall-clock and candidate budgets degrade the answer
-    instead of losing it ({!Budget}), and progress can be checkpointed to
-    a crash-safe journal and resumed after a kill ({!Journal}).
+    Supervision around the selection kernel's ticked task walk
+    ([Kernel.walk_task], the same walk budgeted [Select.select] runs):
+    worker-domain faults are retried and contained ({!Supervisor}),
+    progress can be checkpointed to a crash-safe journal and resumed
+    after a kill ({!Journal}), and the kernel's [Budget] ticks degrade the
+    answer instead of losing it. The enumeration limit is decided once,
+    by [Kernel.admit], before any task runs.
 
     Determinism contract: a run that completes every task — whatever the
     job count, however many times tasks were retried, and across any
     kill/resume split — returns a result bit-identical to
-    [Select.select]'s, because task bodies are transactional, the best
-    candidate is unique under [Select.Path.better], and the journal stores
-    the best's gain as IEEE-754 bits which resumption re-derives and
-    verifies. Degraded (anytime) results are explicitly schedule-dependent
-    and say so in their tier. *)
+    [Select.select]'s, and hence to the brute-force list path, because
+    task bodies are transactional, the best candidate is unique under
+    [Kernel.better], and the journal stores the best's gain as IEEE-754
+    bits which resumption re-derives with the kernel's ascending-slot sum
+    and verifies. Degraded (anytime) results are explicitly
+    schedule-dependent and say so in their tier. *)
 
 open Flowtrace_core
 
@@ -53,9 +56,12 @@ val pp_outcome : Format.formatter -> outcome -> unit
       attempts per faulting task; [backoff] (default {!Backoff.none})
       delays retries without changing any result bit.
     - [deadline] (absolute [Unix.gettimeofday] time) and [max_candidates]
-      degrade the run to an anytime result when exhausted; [stride] is
-      forwarded to {!Budget.make} (how many candidates may stream between
-      deadline checks).
+      degrade the run to an anytime result when exhausted: the best over
+      the completed tasks and the best-so-far of the tasks the expiry
+      stopped (those are neither marked done nor journalled), or the
+      greedy baseline when nothing was scored; [stride] is forwarded to
+      [Budget.make] (how many leaves may be visited between deadline
+      checks).
     - [checkpoint] journals progress to the given path every
       [checkpoint_every] (default 1) completed tasks and once at the end.
     - [resume] loads [checkpoint] first (a missing file starts fresh) and

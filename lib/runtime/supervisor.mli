@@ -5,7 +5,7 @@
     more times; a task that keeps failing is recorded as [Gave_up] and the
     remaining tasks keep running — one poisoned subtree never loses its
     siblings' results. A cooperative stop (an exception recognized by
-    [should_stop], e.g. {!Budget.Expired}) is not a failure: the worker
+    [should_stop], e.g. {!Flowtrace_core.Budget.Expired}) is not a failure: the worker
     that sees it stops claiming, every other worker stops at its next
     claim, and unfinished tasks are left [Not_run].
 

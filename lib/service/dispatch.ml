@@ -4,7 +4,6 @@ module Json = Flowtrace_analysis.Json
 module Rt = Flowtrace_analysis.Rt
 module Supervisor = Flowtrace_runtime.Supervisor
 module Backoff = Flowtrace_runtime.Backoff
-module Budget = Flowtrace_runtime.Budget
 module Vfs = Flowtrace_runtime.Vfs
 module Tel = Flowtrace_telemetry.Telemetry
 

@@ -104,6 +104,20 @@ let interleaving_arb =
     (QCheck.Gen.map interleaving_of_seed (QCheck.Gen.int_bound 100_000))
 
 (* ------------------------------------------------------------------ *)
+(* Brute-force task contents *)
+
+(* Candidates of task [i] of a [Combination.plan] over [messages],
+   listed without any walk: the task's prefix takes plus any subset of
+   the undecided suffix that fits the width the prefix left. *)
+let task_candidates plan messages i =
+  let pool = Array.of_list (Combination.canonical_pool messages) in
+  let start = Combination.task_start plan i and rest = Combination.task_remaining plan i in
+  let prefix = List.map (Array.get pool) (Combination.task_taken plan i) in
+  let suffix = Array.to_list (Array.sub pool start (Array.length pool - start)) in
+  let tails = if rest > 0 && suffix <> [] then Combination.enumerate suffix ~width:rest else [] in
+  List.map (fun tail -> prefix @ tail) (if prefix = [] then tails else [] :: tails)
+
+(* ------------------------------------------------------------------ *)
 (* Random netlists for restoration soundness properties. *)
 
 open Flowtrace_netlist

@@ -2,12 +2,14 @@
    bugfix sweep.
 
    The Bitset substrate is checked against a bool-array reference; the
-   bitset engine is checked bit-identical to the streaming engine on the
-   built-in scenarios, the stress workload and random interleavings at
-   jobs 1/2/4; Indexed.hash is pinned to explicit vectors (it must not
-   drift, and must separate names differing only deep in the string);
-   and the candidate comparator is checked to be a strict total order —
-   the epsilon tie-break it replaced was not transitive. *)
+   kernel is checked bit-identical to the brute-force list oracle
+   (Combination.enumerate + Select.step2) on the built-in scenarios, the
+   stress workload, random interleavings and a pool wider than one
+   machine word, at jobs 1/2/4; Indexed.hash is pinned to explicit
+   vectors (it must not drift, and must separate names differing only
+   deep in the string); and the kernel's candidate comparator is checked
+   to be a strict total order — the epsilon tie-break it replaced was not
+   transitive. *)
 
 open Flowtrace_core
 open Flowtrace_soc
@@ -121,52 +123,56 @@ let prop_hash_consistent_with_equal =
 (* ------------------------------------------------------------------ *)
 (* The candidate comparator is a strict total order *)
 
-(* Build scored paths for every candidate of a small random pool. The
+(* Score every candidate of a small random pool on the kernel. The
    comparator must order any two distinct candidates one way (totality),
    never both ways (antisymmetry), and chains must compose
    (transitivity) — the epsilon tie-break this replaced broke
    transitivity whenever two gains sat within 1e-12 of each other but a
    third straddled the band. *)
-let paths_of_seed seed =
+let candidates_of_seed seed =
   let inter = Gen.interleaving_of_seed seed in
+  let k = Kernel.make inter in
   let msgs = List.filteri (fun i _ -> i < 8) (Interleave.messages inter) in
   let widths = List.map Message.trace_width msgs in
   let minw = List.fold_left min max_int widths in
-  let ev = Infogain.evaluator inter in
-  Combination.fold_candidates msgs ~width:(minw + (seed mod 5)) ~init:[]
-    ~f:(fun acc c -> List.fold_left (Select.Path.extend ev) Select.Path.empty c :: acc)
+  let cands =
+    List.map
+      (fun c ->
+        Option.get (Kernel.candidate_of_names k (List.map (fun (m : Message.t) -> m.Message.name) c)))
+      (Combination.enumerate msgs ~width:(minw + (seed mod 5)))
+  in
+  (k, Array.of_list cands)
 
 let prop_better_strict_total =
-  QCheck.Test.make ~name:"Path.better is irreflexive, antisymmetric, total" ~count:40
+  QCheck.Test.make ~name:"Kernel.better is irreflexive, antisymmetric, total" ~count:40
     seed_arb
     (fun seed ->
-      let paths = Array.of_list (paths_of_seed seed) in
-      let n = Array.length paths in
+      let k, cands = candidates_of_seed seed in
+      let n = Array.length cands in
       let ok = ref true in
       for i = 0 to n - 1 do
-        if Select.Path.better paths.(i) paths.(i) then ok := false;
+        if Kernel.better k cands.(i) cands.(i) then ok := false;
         for j = i + 1 to n - 1 do
-          let ab = Select.Path.better paths.(i) paths.(j)
-          and ba = Select.Path.better paths.(j) paths.(i) in
+          let ab = Kernel.better k cands.(i) cands.(j)
+          and ba = Kernel.better k cands.(j) cands.(i) in
           (* distinct candidates (distinct keys) must compare one way *)
-          if Select.Path.key paths.(i) <> Select.Path.key paths.(j) && ab = ba then
-            ok := false
+          if Kernel.key k cands.(i) <> Kernel.key k cands.(j) && ab = ba then ok := false
         done
       done;
       !ok)
 
 let prop_better_transitive =
-  QCheck.Test.make ~name:"Path.better is transitive" ~count:25 seed_arb (fun seed ->
-      let paths = Array.of_list (paths_of_seed seed) in
-      let n = min 18 (Array.length paths) in
+  QCheck.Test.make ~name:"Kernel.better is transitive" ~count:25 seed_arb (fun seed ->
+      let k, cands = candidates_of_seed seed in
+      let n = min 18 (Array.length cands) in
       let ok = ref true in
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
-          for k = 0 to n - 1 do
+          for l = 0 to n - 1 do
             if
-              Select.Path.better paths.(i) paths.(j)
-              && Select.Path.better paths.(j) paths.(k)
-              && not (Select.Path.better paths.(i) paths.(k))
+              Kernel.better k cands.(i) cands.(j)
+              && Kernel.better k cands.(j) cands.(l)
+              && not (Kernel.better k cands.(i) cands.(l))
             then ok := false
           done
         done
@@ -174,59 +180,69 @@ let prop_better_transitive =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* Bitset engine = streaming engine, bit for bit *)
+(* The kernel = the brute-force list oracle, bit for bit *)
 
-let check_engines_identical name ?(strategy = Select.Exact) inter ~buffer_width =
-  let run engine jobs =
-    Select.select ~strategy ~engine ~jobs ~pack:false inter ~buffer_width
-  in
-  let s1 = run Select.Stream 1 in
+(* Materialize every fitting candidate, score the list with Step 2, and
+   take coverage from the edge-list scan — no kernel involved. *)
+let list_oracle ~strategy inter ~buffer_width =
+  let combos = Combination.enumerate (Interleave.messages inter) ~width:buffer_width in
+  let combos = if strategy = Select.Exact_maximal then Combination.maximal_only combos else combos in
+  let combo, gain = Select.step2 inter combos in
+  Select.finalize ~pack:false inter ~combo ~gain ~buffer_width
+
+let same_result (a : Select.result) (b : Select.result) =
+  Select.selected_names a = Select.selected_names b
+  && Int64.bits_of_float a.Select.gain = Int64.bits_of_float b.Select.gain
+  && Int64.bits_of_float a.Select.coverage = Int64.bits_of_float b.Select.coverage
+  && a.Select.bits_used = b.Select.bits_used
+
+let check_kernel_equals_oracle name ?(strategy = Select.Exact) inter ~buffer_width =
+  let o = list_oracle ~strategy inter ~buffer_width in
   List.iter
     (fun jobs ->
-      let b = run Select.Bitset jobs in
+      let b = Select.select ~strategy ~jobs ~pack:false inter ~buffer_width in
       Alcotest.(check (list string))
-        (Printf.sprintf "%s: bitset j%d = stream" name jobs)
-        (Select.selected_names s1) (Select.selected_names b);
+        (Printf.sprintf "%s: kernel j%d = list oracle" name jobs)
+        (Select.selected_names o) (Select.selected_names b);
       Alcotest.(check int64)
         (Printf.sprintf "%s: gain bits identical j%d" name jobs)
-        (Int64.bits_of_float s1.Select.gain)
+        (Int64.bits_of_float o.Select.gain)
         (Int64.bits_of_float b.Select.gain);
       Alcotest.(check int64)
         (Printf.sprintf "%s: coverage bits identical j%d" name jobs)
-        (Int64.bits_of_float s1.Select.coverage)
+        (Int64.bits_of_float o.Select.coverage)
         (Int64.bits_of_float b.Select.coverage);
       Alcotest.(check int)
         (Printf.sprintf "%s: bits_used identical j%d" name jobs)
-        s1.Select.bits_used b.Select.bits_used)
+        o.Select.bits_used b.Select.bits_used)
     [ 1; 2; 4 ]
 
 let test_scenarios_engines_identical () =
   List.iter
     (fun sc ->
       let inter = Scenario.interleave sc in
-      check_engines_identical sc.Scenario.name inter ~buffer_width:32;
-      check_engines_identical
+      check_kernel_equals_oracle sc.Scenario.name inter ~buffer_width:32;
+      check_kernel_equals_oracle
         (sc.Scenario.name ^ "/maximal")
         ~strategy:Select.Exact_maximal inter ~buffer_width:32)
     Scenario.all
 
 let test_stress_engines_identical () =
   let inter = Stress.interleave () in
-  check_engines_identical "stress" inter ~buffer_width:Stress.default_buffer_width
+  check_kernel_equals_oracle "stress" inter ~buffer_width:Stress.default_buffer_width
 
 let prop_random_engines_identical =
-  QCheck.Test.make ~name:"bitset = stream on random interleavings" ~count:25 seed_arb
+  QCheck.Test.make ~name:"bitset = list oracle on random interleavings" ~count:25 seed_arb
     (fun seed ->
       let inter = Gen.interleaving_of_seed seed in
       let widths = List.map (fun (m : Message.t) -> m.Message.width) (Interleave.messages inter) in
       let minw = List.fold_left min max_int widths in
       let buffer_width = minw + 4 in
       let strategy = if seed mod 2 = 0 then Select.Exact else Select.Exact_maximal in
-      let run engine = Select.select ~strategy ~engine ~pack:false inter ~buffer_width in
-      let s = run Select.Stream and b = run Select.Bitset in
-      Select.selected_names s = Select.selected_names b
-      && Int64.bits_of_float s.Select.gain = Int64.bits_of_float b.Select.gain
-      && Int64.bits_of_float s.Select.coverage = Int64.bits_of_float b.Select.coverage)
+      let o = list_oracle ~strategy inter ~buffer_width in
+      List.for_all
+        (fun jobs -> same_result o (Select.select ~strategy ~jobs ~pack:false inter ~buffer_width))
+        [ 1; 2; 4 ])
 
 let prop_kernel_coverage_matches_compute =
   QCheck.Test.make ~name:"Kernel.coverage = Coverage.compute" ~count:50 seed_arb
@@ -239,44 +255,60 @@ let prop_kernel_coverage_matches_compute =
 let test_too_many_parity () =
   let inter = Stress.interleave () in
   let w = Stress.default_buffer_width in
-  let raises engine =
-    match Select.select ~engine ~limit:1000 ~pack:false inter ~buffer_width:w with
+  let oracle =
+    match Combination.enumerate ~limit:1000 (Interleave.messages inter) ~width:w with
     | exception Combination.Too_many n -> n
-    | _ -> Alcotest.fail "expected Too_many"
+    | _ -> Alcotest.fail "list oracle: expected Too_many"
   in
-  Alcotest.(check int) "bitset limit = stream limit" (raises Select.Stream)
-    (raises Select.Bitset)
+  List.iter
+    (fun jobs ->
+      match Select.select ~jobs ~limit:1000 ~pack:false inter ~buffer_width:w with
+      | exception Combination.Too_many n ->
+          Alcotest.(check int) (Printf.sprintf "kernel limit = oracle limit j%d" jobs) oracle n
+      | _ -> Alcotest.fail "kernel: expected Too_many")
+    [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* Oversized pools: forced Bitset refuses, Auto falls back *)
+(* A pool wider than one machine word *)
 
-let big_chain_interleave () =
-  let n = Kernel.max_pool + 1 in
+(* 64 one-bit chain messages plus one two-bit message, [hot], that labels
+   four edges into the stop state — four times the information of any
+   chain message. [hot] is the widest message, so it sits in the last
+   pool slot (64), and at width 2 it wins alone: a kernel that kept
+   candidates in one int mask would lose or alias that slot. *)
+let big_pool_interleave () =
+  let n = 64 in
   let state i = Printf.sprintf "s%d" i in
   let states = List.init (n + 1) state in
-  let messages = List.init n (fun i -> Message.make (Printf.sprintf "bm%02d" i) 1) in
+  let chain = List.init n (fun i -> Message.make (Printf.sprintf "bm%02d" i) 1) in
   let transitions =
     List.init n (fun i -> Flow.transition (state i) (Printf.sprintf "bm%02d" i) (state (i + 1)))
+    @ List.init 4 (fun i -> Flow.transition (state (10 * i)) "hot" (state n))
   in
   let f =
     Flow.make ~name:"big" ~states ~initial:[ state 0 ] ~stop:[ state n ] ~atomic:[]
-      ~messages ~transitions ()
+      ~messages:(chain @ [ Message.make "hot" 2 ])
+      ~transitions ()
   in
   Interleave.make [ { Interleave.flow = f; index = 1 } ]
 
 let test_oversized_pool () =
-  let inter = big_chain_interleave () in
-  (match Kernel.make inter with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "Kernel.make accepted an oversized pool");
-  (match Select.select ~engine:Select.Bitset ~pack:false inter ~buffer_width:3 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "forced Bitset accepted an oversized pool");
-  (* Auto silently takes the streaming path and agrees with it *)
-  let a = Select.select ~pack:false inter ~buffer_width:3 in
-  let s = Select.select ~engine:Select.Stream ~pack:false inter ~buffer_width:3 in
-  Alcotest.(check (list string))
-    "auto = stream past max_pool" (Select.selected_names s) (Select.selected_names a)
+  let inter = big_pool_interleave () in
+  let k = Kernel.make inter in
+  Alcotest.(check int) "65 pool slots" 65 (Kernel.n_messages k);
+  Alcotest.(check string) "hot is the last slot" "hot" (Kernel.pool k).(64).Message.name;
+  let o = list_oracle ~strategy:Select.Exact inter ~buffer_width:2 in
+  Alcotest.(check bool) "the oracle's winner uses slot 64" true
+    (List.mem "hot" (Select.selected_names o));
+  check_kernel_equals_oracle "wide pool" inter ~buffer_width:2;
+  check_kernel_equals_oracle "wide pool/maximal" ~strategy:Select.Exact_maximal inter
+    ~buffer_width:2;
+  (* the ticked walk too: budgeted-but-unexpired and seeded runs *)
+  let far = Unix.gettimeofday () +. 3600.0 in
+  Alcotest.(check bool) "budgeted = oracle" true
+    (same_result o (Select.select ~deadline:far ~pack:false inter ~buffer_width:2));
+  let r, _ = Select.reselect ~seeds:[ [ "bm00" ] ] ~pack:false inter ~buffer_width:2 in
+  Alcotest.(check bool) "reselect = oracle" true (same_result o r)
 
 let () =
   Alcotest.run "kernel"
@@ -300,9 +332,9 @@ let () =
           [ prop_better_strict_total; prop_better_transitive ] );
       ( "engine identity",
         [
-          Alcotest.test_case "scenarios: bitset = stream" `Quick
+          Alcotest.test_case "scenarios: bitset = list oracle" `Quick
             test_scenarios_engines_identical;
-          Alcotest.test_case "stress: bitset = stream" `Slow test_stress_engines_identical;
+          Alcotest.test_case "stress: bitset = list oracle" `Slow test_stress_engines_identical;
           Alcotest.test_case "Too_many parity" `Slow test_too_many_parity;
           Alcotest.test_case "oversized pool" `Quick test_oversized_pool;
         ]

@@ -272,23 +272,14 @@ let test_permanent_fault_keeps_siblings () =
       Alcotest.(check bool) "partial" true (o.Engine.o_status = Engine.Partial);
       Alcotest.(check (list int)) "failed task named" [ poisoned ] o.Engine.o_failed_tasks;
       Alcotest.(check int) "siblings all done" (ntasks - 1) o.Engine.o_done_tasks;
-      (* reference: fold every healthy task directly *)
-      let ev = Infogain.evaluator inter in
-      let best = ref None in
-      for t = 0 to ntasks - 1 do
-        if t <> poisoned then
-          best :=
-            Combination.fold_task plan t ~only_maximal:false
-              ~tick:(fun () -> ())
-              ~take:(Select.Path.extend ev) ~path:Select.Path.empty
-              ~leaf:(fun acc p -> Select.Path.merge acc (Some p))
-              ~init:!best
-      done;
-      match !best with
-      | None -> Alcotest.fail "reference fold found no candidate"
-      | Some p ->
-          Alcotest.(check (float 0.0))
-            "best over healthy tasks" (Select.Path.gain p) o.Engine.o_result.Select.gain)
+      (* reference: score every healthy task's candidates, listed
+         without any walk, with Step 2 — no kernel involved *)
+      let healthy =
+        List.concat_map (Gen.task_candidates plan pool)
+          (List.filter (fun t -> t <> poisoned) (List.init ntasks Fun.id))
+      in
+      let _, gain = Select.step2 inter healthy in
+      Alcotest.(check (float 0.0)) "best over healthy tasks" gain o.Engine.o_result.Select.gain)
     [ 1; 2; 4 ]
 
 (* Kill/resume determinism: stop a checkpointed run early with a candidate
@@ -381,6 +372,79 @@ let prop_unexpired_budget_identical =
       && budgeted.Select.tier = Select.Tier.Exact)
 
 (* ------------------------------------------------------------------ *)
+(* Every front door decides the limit, the budget and the answer alike *)
+
+let render r = Format.asprintf "%a" Select.pp_result r
+
+(* At limit = total - 1 every exact front door refuses; at limit = total
+   every one answers the same. The delta walk prunes, so a limit counted
+   per visited leaf would let it through below the total. *)
+let test_limit_decided_once () =
+  let inter = Scenario.interleave (List.hd Scenario.all) in
+  let w = 32 in
+  let total = Combination.count (Interleave.messages inter) ~width:w in
+  let plain = Select.select ~pack:false inter ~buffer_width:w in
+  let seeds = [ List.map (fun (m : Message.t) -> m.Message.name) plain.Select.messages ] in
+  let far = Unix.gettimeofday () +. 3600.0 in
+  let doors limit =
+    [
+      ("plain", fun () -> Select.select ~limit ~pack:false inter ~buffer_width:w);
+      ("budgeted", fun () -> Select.select ~limit ~deadline:far ~pack:false inter ~buffer_width:w);
+      ("delta", fun () -> fst (Select.reselect ~limit ~seeds ~pack:false inter ~buffer_width:w));
+      ( "checkpoint",
+        fun () ->
+          (outcome_ok
+             (Engine.select ~limit ~checkpoint:(tmp_journal ()) ~pack:false inter ~buffer_width:w))
+            .Engine.o_result );
+    ]
+  in
+  List.iter
+    (fun (door, run) ->
+      match run () with
+      | exception Combination.Too_many n ->
+          Alcotest.(check int) (door ^ ": refused at total - 1") (total - 1) n
+      | _ -> Alcotest.fail (door ^ ": answered past its limit"))
+    (doors (total - 1));
+  List.iter
+    (fun (door, run) ->
+      Alcotest.(check string) (door ^ ": answers at limit = total") (render plain) (render (run ())))
+    (doors total)
+
+(* The anytime tier reports the exact candidate total, not an
+   extrapolation from the finished fraction of the task plan. *)
+let test_anytime_total_exact () =
+  let inter = Scenario.interleave (List.hd Scenario.all) in
+  let total = Combination.count (Interleave.messages inter) ~width:32 in
+  List.iter
+    (fun cap ->
+      let r = Select.select ~pack:false ~max_candidates:cap inter ~buffer_width:32 in
+      Alcotest.(check string)
+        (Printf.sprintf "cap %d" cap)
+        (Printf.sprintf "anytime (best of %d of %d candidates)" cap total)
+        (Select.Tier.to_string r.Select.tier))
+    [ 1; 5; 40 ]
+
+(* The supervised front door keeps what an expired budget scored: at one
+   job it walks the same leaves as the core one and prints the same
+   result, journal or not. *)
+let test_front_doors_agree_under_caps () =
+  let inter = Scenario.interleave (List.hd Scenario.all) in
+  List.iter
+    (fun cap ->
+      let core = Select.select ~pack:false ~max_candidates:cap inter ~buffer_width:32 in
+      List.iter
+        (fun checkpoint ->
+          let o =
+            outcome_ok
+              (Engine.select ~pack:false ~max_candidates:cap ?checkpoint inter ~buffer_width:32)
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "cap %d%s" cap (if checkpoint = None then "" else " --checkpoint"))
+            (render core) (render o.Engine.o_result))
+        [ None; Some (tmp_journal ()) ])
+    [ 1; 5; 40; 200 ]
+
+(* ------------------------------------------------------------------ *)
 (* CRC32 and trace-buffer guards *)
 
 let test_crc32_vectors () =
@@ -396,7 +460,6 @@ let test_crc32_vectors () =
 (* Retry backoff (satellite of the service PR) *)
 
 module Backoff = Flowtrace_runtime.Backoff
-module Budget = Flowtrace_runtime.Budget
 module Tel = Flowtrace_telemetry.Telemetry
 
 let test_backoff_deterministic () =
@@ -680,6 +743,11 @@ let () =
             test_core_max_candidates_anytime;
           Alcotest.test_case "deadline expiry detected within one stride" `Quick
             test_budget_stride_bound;
+          Alcotest.test_case "limit decided once for every front door" `Quick
+            test_limit_decided_once;
+          Alcotest.test_case "anytime total is the exact count" `Quick test_anytime_total_exact;
+          Alcotest.test_case "capped supervised = capped core (jobs 1)" `Quick
+            test_front_doors_agree_under_caps;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_unexpired_budget_identical ] );
       ( "guards",

@@ -105,18 +105,11 @@ let prop_plan_partitions_candidates =
       let width = width_of_seed seed msgs in
       (* depth 3 forces several tasks even on these small pools *)
       let plan = Combination.plan ~depth:3 msgs ~width in
-      let per_task = ref [] in
-      for i = 0 to Combination.n_tasks plan - 1 do
-        per_task :=
-          Combination.fold_task plan i ~only_maximal:false
-            ~tick:(fun () -> ())
-            ~take:(fun p m -> m :: p)
-            ~path:[]
-            ~leaf:(fun acc p -> List.rev p :: acc)
-            ~init:!per_task
-      done;
+      let per_task =
+        List.concat_map (Gen.task_candidates plan msgs) (List.init (Combination.n_tasks plan) Fun.id)
+      in
       (* multiset equality: completeness and no duplicates across tasks *)
-      keyset !per_task = keyset (Combination.enumerate msgs ~width))
+      keyset per_task = keyset (Combination.enumerate msgs ~width))
 
 let test_fold_limit_raises () =
   let many = List.init 25 (fun i -> Message.make (Printf.sprintf "w%d" i) 1) in

@@ -16,38 +16,7 @@ module Telemetry = Flowtrace_telemetry.Telemetry
 module Engine = Flowtrace_runtime.Engine
 module Journal = Flowtrace_runtime.Journal
 
-let load_flows path =
-  try Ok (Spec_parser.parse_file path) with
-  | Spec_parser.Parse_error e ->
-      Error (Printf.sprintf "%s:%d: %s" path e.Spec_parser.line e.Spec_parser.message)
-  | Sys_error m -> Error m
-
-let interleave_of path counts =
-  match load_flows path with
-  | Error m -> Error m
-  | Ok [] -> Error (Printf.sprintf "%s:1:1: specification declares no flows" path)
-  | Ok flows -> (
-      let find name = List.find_opt (fun f -> String.equal f.Flow.name name) flows in
-      let instances =
-        match counts with
-        | [] -> List.mapi (fun i f -> { Interleave.flow = f; index = i + 1 }) flows
-        | counts ->
-            let next = ref 0 in
-            List.concat_map
-              (fun (name, n) ->
-                match find name with
-                | None -> []
-                | Some f ->
-                    List.init n (fun _ ->
-                        incr next;
-                        { Interleave.flow = f; index = !next }))
-              counts
-      in
-      if instances = [] then Error "instance specification matches no flow"
-      else
-        try Ok (Interleave.make instances) with
-        | Interleave.Not_legally_indexed m | Interleave.Message_clash m -> Error m
-        | Interleave.Too_large n -> Error (Printf.sprintf "interleaving exceeds %d states" n))
+module Op = Flowtrace_service.Op
 
 (* --- arguments ----------------------------------------------------- *)
 
@@ -61,11 +30,8 @@ let width =
 
 let strategy =
   let doc = "Candidate search strategy: $(b,exact), $(b,exact-maximal) or $(b,greedy)." in
-  let strategy_conv =
-    Arg.enum
-      [ ("exact", Select.Exact); ("exact-maximal", Select.Exact_maximal); ("greedy", Select.Greedy) ]
-  in
-  Arg.(value & opt strategy_conv Select.Exact & info [ "s"; "strategy" ] ~docv:"STRATEGY" ~doc)
+  let strategies = Arg.enum Select.strategies in
+  Arg.(value & opt strategies Select.Exact & info [ "s"; "strategy" ] ~docv:"STRATEGY" ~doc)
 
 let no_pack =
   let doc = "Disable Step-3 packing of leftover buffer bits." in
@@ -183,6 +149,16 @@ let or_die = function
       Printf.eprintf "flowtrace: %s\n" m;
       exit 1
 
+let render_diags diags =
+  if diags <> [] then Printf.eprintf "%s%!" (Flowtrace_analysis.Diagnostic.render_all diags)
+
+let journal_or_die file = function
+  | Ok v -> v
+  | Error diags ->
+      render_diags diags;
+      Printf.eprintf "flowtrace: cannot use journal %s\n" file;
+      exit 1
+
 (* Load a packet trace for a subcommand: I/O and parse failures become
    positioned one-line errors (file:line) through [or_die], never a
    backtrace. With [recover], malformed lines are skipped under
@@ -192,8 +168,7 @@ let load_trace_or_die ~recover path =
   try
     if recover then begin
       let packets, diags = Trace_io.load_lenient path in
-      if diags <> [] then
-        Printf.eprintf "%s%!" (Flowtrace_analysis.Diagnostic.render_all diags);
+      render_diags diags;
       packets
     end
     else Trace_io.load path
@@ -215,20 +190,23 @@ let parse_obs_faults = function
   | None -> Flowtrace_soc.Obs_fault.none
   | Some s -> or_die (Flowtrace_soc.Obs_fault.parse_spec s)
 
-(* Select with the Too_many blow-up guard mapped to a positioned,
-   actionable error instead of an uncaught exception. *)
-let select_or_die ~path ?strategy ?jobs ?limit ?deadline ?max_candidates ?pack inter
-    ~buffer_width =
-  try Select.select ?strategy ?jobs ?limit ?deadline ?max_candidates ?pack inter ~buffer_width
-  with
-  | Combination.Too_many n ->
-      or_die
-        (Error
-           (Printf.sprintf
-              "%s: Step-1 enumeration exceeded %d candidate combinations at width %d; use \
-               --strategy greedy or raise --limit"
-              path n buffer_width))
-  | Invalid_argument m -> or_die (Error (Printf.sprintf "%s: %s" path m))
+let scenario_or_die path counts = fst (or_die (Op.scenario (Op.File path) counts))
+
+(* A failed selection request as a one-line error: rejected inputs as
+   they are, selection failures positioned on the spec, the Too_many
+   blow-up with an actionable hint. *)
+let op_or_die ~path = function
+  | Ok v -> v
+  | Error (Op.Invalid m) -> or_die (Error m)
+  | Error e ->
+      let hint =
+        match e with Op.Too_many _ -> "; use --strategy greedy or raise --limit" | _ -> ""
+      in
+      or_die (Error (Printf.sprintf "%s: %s%s" path (Op.message e) hint))
+
+let select_or_die ~path ?strategy ?jobs ?limit inter ~buffer_width =
+  op_or_die ~path
+    (Op.guard ~buffer_width (fun () -> Select.select ?strategy ?jobs ?limit inter ~buffer_width))
 
 (* --- commands ------------------------------------------------------ *)
 
@@ -239,7 +217,7 @@ let select_cmd =
        exit still flushes the recording, then exit outside it *)
     let code =
       with_telemetry tel @@ fun () ->
-      let inter = or_die (interleave_of path counts) in
+      let inter = scenario_or_die path counts in
       (* --deadline is relative on the command line, absolute in the API *)
       let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) deadline in
       let pack = not no_pack in
@@ -253,39 +231,31 @@ let select_cmd =
         | Some r, _ -> (Some r, true)
         | None, c -> (c, false)
       in
-      match delta_from with
-      | Some file -> (
-          (* deliberately no fingerprint check: the journal came from a
-             prior revision of the scenario, which is the whole point *)
-          let snap =
-            match Journal.load file with
-            | Error diags ->
-                Printf.eprintf "%s%!" (Flowtrace_analysis.Diagnostic.render_all diags);
-                Printf.eprintf "flowtrace: cannot use journal %s\n" file;
-                exit 1
-            | Ok (snap, warns) ->
-                if warns <> [] then
-                  Printf.eprintf "%s%!" (Flowtrace_analysis.Diagnostic.render_all warns);
-                snap
-          in
-          let seeds =
+      (* deliberately no fingerprint check on --delta-from: the journal
+         came from a prior revision of the scenario, which is the whole
+         point *)
+      let seeds =
+        Option.map
+          (fun file ->
+            let snap, warns = journal_or_die file (Journal.load file) in
+            render_diags warns;
             (match snap.Journal.s_best with Some b -> [ b.Journal.b_names ] | None -> [])
-            @ List.map (fun (_, (b : Journal.best)) -> b.Journal.b_names)
-                snap.Journal.s_task_bests
-          in
-          match
-            Select.reselect ~strategy ~limit ~jobs ?deadline ?max_candidates ~pack ~seeds inter
-              ~buffer_width:width
-          with
-          | exception Combination.Too_many n ->
-              or_die
-                (Error
-                   (Printf.sprintf
-                      "%s: Step-1 enumeration exceeded %d candidate combinations at width %d; \
-                       use --strategy greedy or raise --limit"
-                      path n width))
-          | exception Invalid_argument m -> or_die (Error (Printf.sprintf "%s: %s" path m))
-          | r, stats ->
+            @ List.map (fun (_, (b : Journal.best)) -> b.Journal.b_names) snap.Journal.s_task_bests)
+          delta_from
+      in
+      (* each branch selects under the one guard and returns how to
+         print its answer and the exit code *)
+      let answer =
+        op_or_die ~path @@ Op.guard ~buffer_width:width
+        @@ fun () ->
+        let exit_of r = if Select.Tier.is_degraded r.Select.tier then 3 else 0 in
+        match (seeds, ckpt) with
+        | Some seeds, _ ->
+            let r, stats =
+              Select.reselect ~strategy ~limit ~jobs ?deadline ?max_candidates ~pack ~seeds inter
+                ~buffer_width:width
+            in
+            fun () ->
               Format.printf "%a@." Select.pp_result r;
               (match stats with
               | Some s ->
@@ -296,40 +266,29 @@ let select_cmd =
                     s.Select.rs_scored s.Select.rs_pruned_subtrees
                     (if s.Select.rs_pruned_subtrees = 1 then "" else "s")
               | None -> Format.printf "delta: seeds unusable here; ran a full selection@.");
-              if Select.Tier.is_degraded r.Select.tier then 3 else 0)
-      | None -> (
-      match ckpt with
-      | None ->
-          (* unsupervised: budgets run inside the core engine *)
-          let r =
-            select_or_die ~path ~strategy ~jobs ~limit ?deadline ?max_candidates ~pack inter
-              ~buffer_width:width
-          in
-          Format.printf "%a@." Select.pp_result r;
-          if Select.Tier.is_degraded r.Select.tier then 3 else 0
-      | Some file -> (
-          match
-            Engine.select ~strategy ~limit ~jobs ~retries ?deadline ?max_candidates
-              ~checkpoint:file ~resume:resuming ~pack inter ~buffer_width:width
-          with
-          | exception Combination.Too_many n ->
-              or_die
-                (Error
-                   (Printf.sprintf
-                      "%s: Step-1 enumeration exceeded %d candidate combinations at width %d; \
-                       use --strategy greedy or raise --limit"
-                      path n width))
-          | exception Invalid_argument m -> or_die (Error (Printf.sprintf "%s: %s" path m))
-          | Error diags ->
-              Printf.eprintf "%s%!" (Flowtrace_analysis.Diagnostic.render_all diags);
-              Printf.eprintf "flowtrace: cannot use journal %s\n" file;
-              exit 1
-          | Ok o ->
-              if o.Engine.o_diags <> [] then
-                Printf.eprintf "%s%!" (Flowtrace_analysis.Diagnostic.render_all o.Engine.o_diags);
+              exit_of r
+        | None, None ->
+            (* unsupervised: budgets run inside the core engine *)
+            let r =
+              Select.select ~strategy ~jobs ~limit ?deadline ?max_candidates ~pack inter
+                ~buffer_width:width
+            in
+            fun () ->
+              Format.printf "%a@." Select.pp_result r;
+              exit_of r
+        | None, Some file ->
+            let o =
+              journal_or_die file
+                (Engine.select ~strategy ~limit ~jobs ~retries ?deadline ?max_candidates
+                   ~checkpoint:file ~resume:resuming ~pack inter ~buffer_width:width)
+            in
+            fun () ->
+              render_diags o.Engine.o_diags;
               Format.printf "%a@." Select.pp_result o.Engine.o_result;
               Format.printf "%a@." Engine.pp_outcome o;
-              if o.Engine.o_status = Engine.Partial then 3 else 0))
+              if o.Engine.o_status = Engine.Partial then 3 else 0
+      in
+      answer ()
     in
     if code <> 0 then exit code
   in
@@ -342,7 +301,7 @@ let select_cmd =
 
 let interleave_cmd =
   let run path counts =
-    let inter = or_die (interleave_of path counts) in
+    let inter = scenario_or_die path counts in
     Format.printf "%a@." Stats.pp (Stats.compute inter);
     Format.printf "message pool: %s@."
       (String.concat ", " (List.map Message.to_string (Interleave.messages inter)))
@@ -378,62 +337,33 @@ let localize_cmd =
   in
   let run path counts trace trace_file recover lossy skip_budget width strategy tel =
     with_telemetry tel @@ fun () ->
-    let inter = or_die (interleave_of path counts) in
-    let sel = select_or_die ~path ~strategy inter ~buffer_width:width in
-    let selected b = Select.is_observable sel b in
-    let observed =
+    let inter = scenario_or_die path counts in
+    let observation =
       match (trace, trace_file) with
       | Some _, Some _ -> or_die (Error "give either a TRACE argument or --trace-file, not both")
       | None, None -> or_die (Error "no observation given (TRACE argument or --trace-file)")
-      | Some trace, None ->
-          List.filter_map
-            (fun tok ->
-              if tok = "" then None
-              else
-                match String.index_opt tok ':' with
-                | Some i -> (
-                    match int_of_string_opt (String.sub tok 0 i) with
-                    | Some inst ->
-                        let base = String.sub tok (i + 1) (String.length tok - i - 1) in
-                        Some (Indexed.make base inst)
-                    | None ->
-                        or_die
-                          (Error (Printf.sprintf "bad indexed message %S (want IDX:NAME)" tok)))
-                | None ->
-                    or_die (Error (Printf.sprintf "bad indexed message %S (want IDX:NAME)" tok)))
-            (String.split_on_char ' ' trace)
+      | Some trace, None -> Op.Tokens (String.split_on_char ' ' trace)
       | None, Some file ->
-          let packets = load_trace_or_die ~recover file in
-          List.filter_map
-            (fun (p : Flowtrace_soc.Packet.t) ->
-              if selected p.Flowtrace_soc.Packet.msg then Some (Flowtrace_soc.Packet.indexed p)
-              else None)
-            packets
+          Op.Packets (List.map Flowtrace_soc.Packet.indexed (load_trace_or_die ~recover file))
     in
-    let total = Interleave.total_paths inter in
-    Format.printf "selection: %s@." (String.concat ", " (Select.selected_names sel));
-    if lossy then begin
-      let r =
-        Localize.lossy ~semantics:Localize.Prefix ~skip_budget inter ~selected ~observed
-      in
-      Format.printf "consistent executions: %d of %d (%.4f%%)@." r.Localize.lr_consistent total
-        (100.0 *. Localize.lossy_fraction r);
-      Format.printf
-        "lossy: %d observation entr%s discarded to resynchronize, >=%d emission%s skipped, \
-         budget %d, confidence %.2f@."
-        r.Localize.lr_discarded
-        (if r.Localize.lr_discarded = 1 then "y" else "ies")
-        r.Localize.lr_skips
-        (if r.Localize.lr_skips = 1 then "" else "s")
-        r.Localize.lr_budget r.Localize.lr_confidence
-    end
-    else begin
-      let consistent =
-        Localize.consistent_paths ~semantics:Localize.Prefix inter ~selected ~observed
-      in
-      Format.printf "consistent executions: %d of %d (%.4f%%)@." consistent total
-        (100.0 *. float_of_int consistent /. float_of_int (max 1 total))
-    end
+    let l =
+      op_or_die ~path
+        (Op.localize ~strategy inter ~buffer_width:width ~lossy ~skip_budget observation)
+    in
+    Format.printf "selection: %s@." (String.concat ", " (Select.selected_names l.Op.selection));
+    Format.printf "consistent executions: %d of %d (%.4f%%)@." l.Op.consistent l.Op.total
+      (100.0 *. l.Op.fraction);
+    Option.iter
+      (fun r ->
+        Format.printf
+          "lossy: %d observation entr%s discarded to resynchronize, >=%d emission%s skipped, \
+           budget %d, confidence %.2f@."
+          r.Localize.lr_discarded
+          (if r.Localize.lr_discarded = 1 then "y" else "ies")
+          r.Localize.lr_skips
+          (if r.Localize.lr_skips = 1 then "" else "s")
+          r.Localize.lr_budget r.Localize.lr_confidence)
+      l.Op.lossy
   in
   let doc = "Count executions prefix-consistent with an observed trace." in
   Cmd.v (Cmd.info "localize" ~doc)
@@ -465,7 +395,7 @@ let tables_cmd =
 let explain_cmd =
   let run path counts width strategy jobs limit tel =
     with_telemetry tel @@ fun () ->
-    let inter = or_die (interleave_of path counts) in
+    let inter = scenario_or_die path counts in
     let r = select_or_die ~path ~strategy ~jobs ~limit inter ~buffer_width:width in
     Format.printf "%a@.@." Select.pp_result r;
     List.iter
@@ -550,7 +480,9 @@ let simulate_cmd =
     | None -> ()
     | Some policy ->
         let inter = Scenario.interleave sc in
-        let sel = select_or_die ~path:sc.Scenario.name ~strategy:Select.Greedy inter ~buffer_width:width in
+        let sel =
+          select_or_die ~path:sc.Scenario.name ~strategy:Select.Greedy inter ~buffer_width:width
+        in
         let buf = Trace_buffer.create ~policy ~depth sel in
         Trace_buffer.record_all buf packets;
         let recorded, lost = Trace_buffer.stats buf in
@@ -606,8 +538,8 @@ let dot_cmd =
   in
   let run path counts interleaved out =
     let dot =
-      if interleaved then Dot.of_interleave (or_die (interleave_of path counts))
-      else String.concat "\n" (List.map Dot.of_flow (or_die (load_flows path)))
+      if interleaved then Dot.of_interleave (scenario_or_die path counts)
+      else String.concat "\n" (List.map Dot.of_flow (or_die (Op.load_flows (Op.File path))))
     in
     match out with
     | None -> print_string dot
@@ -619,20 +551,44 @@ let dot_cmd =
   let doc = "Export flows (or their interleaving) as Graphviz DOT." in
   Cmd.v (Cmd.info "dot" ~doc) Term.(const run $ spec_file $ instances $ interleaved $ out)
 
+(* --- diagnostics reports (lint, check) ------------------------------ *)
+
+let json_arg =
+  let doc = "Emit the diagnostics as a JSON report instead of text." in
+  Arg.(value & flag & info [ "json" ] ~doc)
+
+let werror_arg =
+  let doc = "Promote warnings to errors (the exit status then reflects them)." in
+  Arg.(value & flag & info [ "werror" ] ~doc)
+
+let spec_files doc = Arg.(value & pos_all file [] & info [] ~docv:"SPEC" ~doc)
+
+(* Run a lint/check pass: print the rule [catalog] under --list-rules
+   (--json lists every namespace), else [diags_of] each spec, print the
+   report (text ending in a summary that counts the specs as [noun]s, or
+   JSON) and exit with its status; [degraded] marks truncated analysis. *)
+let report_and_exit ~tool ~noun ~catalog ~json ~werror ~list_rules ?(degraded = fun _ -> false)
+    specs diags_of =
+  let open Flowtrace_analysis in
+  if list_rules then print_string (if json then Check.catalog_json () else catalog ())
+  else begin
+    if specs = [] then or_die (Error "no spec files given (try --list-rules for the catalog)");
+    let diags = List.concat_map diags_of specs in
+    let diags = if werror then List.map Diagnostic.promote_warnings diags else diags in
+    let diags = Diagnostic.sort_report diags in
+    let n = List.length specs in
+    if json then print_endline (Diagnostic.render_json diags)
+    else begin
+      print_string (Diagnostic.render_all diags);
+      Printf.printf "flowtrace %s: %d %s%s checked: %s\n" tool n noun
+        (if n = 1 then "" else "s")
+        (Diagnostic.summary diags)
+    end;
+    match Diagnostic.exit_code ~degraded:(degraded diags) diags with 0 -> () | n -> exit n
+  end
+
 let lint_cmd =
   let open Flowtrace_analysis in
-  let specs =
-    let doc = "Flow specification files to check." in
-    Arg.(value & pos_all file [] & info [] ~docv:"SPEC" ~doc)
-  in
-  let json =
-    let doc = "Emit the diagnostics as a JSON report instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let werror =
-    let doc = "Promote warnings to errors (the exit status then reflects them)." in
-    Arg.(value & flag & info [ "werror" ] ~doc)
-  in
   let list_rules =
     let doc = "Print the rule catalog (code, severity, what is checked) and exit." in
     Arg.(value & flag & info [ "list-rules" ] ~doc)
@@ -649,49 +605,23 @@ let lint_cmd =
     Arg.(value & opt int 2_000_000 & info [ "max-states" ] ~docv:"N" ~doc)
   in
   let run specs json werror list_rules topology max_states =
-    if list_rules then
-      (* --json lists every namespace the tool can emit (FL+FC+RT); the
-         text form prints the FL catalog followed by the FC one. *)
-      print_string (if json then Check.catalog_json () else Lint.catalog () ^ Check.catalog ())
-    else begin
-      if specs = [] then or_die (Error "no spec files given (try --list-rules for the catalog)");
-      let known_ips =
-        match topology with
-        | `None -> None
-        | `T2 -> Some (List.map fst Flowtrace_soc.T2.ips)
-      in
-      let context = { Rule.default_context with Rule.known_ips; max_states } in
-      let diags = List.concat_map (fun path -> Lint.lint_file ~context path) specs in
-      let diags = if werror then List.map Diagnostic.promote_warnings diags else diags in
-      let diags = Diagnostic.sort_report diags in
-      if json then print_endline (Diagnostic.render_json diags)
-      else begin
-        print_string (Diagnostic.render_all diags);
-        Printf.printf "flowtrace lint: %d file%s checked: %s\n" (List.length specs)
-          (if List.length specs = 1 then "" else "s")
-          (Diagnostic.summary diags)
-      end;
-      match Diagnostic.exit_code diags with 0 -> () | n -> exit n
-    end
+    let known_ips =
+      match topology with `None -> None | `T2 -> Some (List.map fst Flowtrace_soc.T2.ips)
+    in
+    let context = { Rule.default_context with Rule.known_ips; max_states } in
+    (* the text catalog is the FL one followed by the FC one *)
+    report_and_exit ~tool:"lint" ~noun:"file"
+      ~catalog:(fun () -> Lint.catalog () ^ Check.catalog ())
+      ~json ~werror ~list_rules specs (Lint.lint_file ~context)
   in
   let doc = "Statically check flow specification files (rules FL001..FL015)." in
   Cmd.v (Cmd.info "lint" ~doc)
-    Term.(const run $ specs $ json $ werror $ list_rules $ topology $ max_states)
+    Term.(
+      const run $ spec_files "Flow specification files to check." $ json_arg $ werror_arg
+      $ list_rules $ topology $ max_states)
 
 let check_cmd =
   let open Flowtrace_analysis in
-  let specs =
-    let doc = "Flow specification files, each checked as one scenario." in
-    Arg.(value & pos_all file [] & info [] ~docv:"SPEC" ~doc)
-  in
-  let json =
-    let doc = "Emit the diagnostics as a JSON report instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let werror =
-    let doc = "Promote warnings to errors (the exit status then reflects them)." in
-    Arg.(value & flag & info [ "werror" ] ~doc)
-  in
   let list_rules =
     let doc =
       "Print the FC rule catalog and exit (with $(b,--json), the machine-readable catalog of \
@@ -719,35 +649,21 @@ let check_cmd =
     Arg.(value & opt int Scenario_model.default_path_limit & info [ "path-limit" ] ~docv:"N" ~doc)
   in
   let run specs json werror list_rules topology budget path_limit =
-    if list_rules then print_string (if json then Check.catalog_json () else Check.catalog ())
-    else begin
-      if specs = [] then or_die (Error "no spec files given (try --list-rules for the catalog)");
-      let topology =
-        match topology with `None -> None | `T2 -> Some Flowtrace_soc.Scenario.t2_topology
-      in
-      let diags =
-        List.concat_map (fun path -> Check.check_file ~path_limit ?topology ?budget path) specs
-      in
-      let diags = if werror then List.map Diagnostic.promote_warnings diags else diags in
-      let diags = Diagnostic.sort_report diags in
-      if json then print_endline (Diagnostic.render_json diags)
-      else begin
-        print_string (Diagnostic.render_all diags);
-        Printf.printf "flowtrace check: %d scenario%s checked: %s\n" (List.length specs)
-          (if List.length specs = 1 then "" else "s")
-          (Diagnostic.summary diags)
-      end;
-      match Diagnostic.exit_code ~degraded:(Check.degraded diags) diags with
-      | 0 -> ()
-      | n -> exit n
-    end
+    let topology =
+      match topology with `None -> None | `T2 -> Some Flowtrace_soc.Scenario.t2_topology
+    in
+    report_and_exit ~tool:"check" ~noun:"scenario" ~catalog:Check.catalog ~json ~werror
+      ~list_rules ~degraded:Check.degraded specs
+      (Check.check_file ~path_limit ?topology ?budget)
   in
   let doc =
     "Statically analyze whole scenarios for debuggability: cross-flow ambiguity, buffer \
      feasibility, observability dead zones, loss fragility (rules FC0xx)."
   in
   Cmd.v (Cmd.info "check" ~doc)
-    Term.(const run $ specs $ json $ werror $ list_rules $ topology $ budget $ path_limit)
+    Term.(
+      const run $ spec_files "Flow specification files, each checked as one scenario." $ json_arg
+      $ werror_arg $ list_rules $ topology $ budget $ path_limit)
 
 let stats_cmd =
   let file =
@@ -771,12 +687,7 @@ let stats_cmd =
 let mine_cmd =
   let open Flowtrace_analysis in
   let open Flowtrace_mining in
-  let parse_spec_or_die path =
-    try Spec_parser.parse_file path with
-    | Spec_parser.Parse_error e ->
-        or_die (Error (Printf.sprintf "%s:%d: %s" path e.Spec_parser.line e.Spec_parser.message))
-    | Sys_error m -> or_die (Error m)
-  in
+  let parse_spec_or_die path = or_die (Op.load_flows (Op.File path)) in
   let trace_files =
     let doc = "Packet trace file to mine (repeatable; each file is one monitor log)." in
     Arg.(value & opt_all string [] & info [ "trace-file" ] ~docv:"FILE" ~doc)
@@ -851,14 +762,11 @@ let mine_cmd =
         | Some path ->
             List.concat_map (fun (f : Flow.t) -> f.Flow.messages) (parse_spec_or_die path)
       in
-      let config =
-        { Miner.support; min_count; default_width; path_limit = Miner.default_config.Miner.path_limit }
-      in
       let traces = List.map (load_trace_or_die ~recover) trace_files in
-      let file = String.concat "," trace_files in
       let result =
-        try Miner.mine ~config ~catalog ~file traces
-        with Invalid_argument m -> or_die (Error m)
+        or_die
+          (Op.mine ~support ~min_count ~default_width ~catalog
+             ~file:(String.concat "," trace_files) traces)
       in
       let score =
         Option.map
@@ -897,9 +805,7 @@ let mine_cmd =
           (if List.length result.Miner.r_flows = 1 then "" else "s")
           result.Miner.r_episodes (Diagnostic.summary diags)
       end;
-      match Diagnostic.exit_code ~degraded:(Miner.degraded result.Miner.r_diags) diags with
-      | 0 -> ()
-      | n -> exit n
+      match Op.mine_exit_code diags with 0 -> () | n -> exit n
     end
   in
   let doc =
@@ -983,9 +889,7 @@ let serve_cmd =
     match
       Server.run
         ~ready:(fun () -> Printf.eprintf "flowtraced: listening on %s\n%!" socket)
-        ~on_diags:(fun ds ->
-          if ds <> [] then
-            Printf.eprintf "%s%!" (Flowtrace_analysis.Diagnostic.render_all ds))
+        ~on_diags:render_diags
         cfg
     with
     | () -> ()

@@ -194,9 +194,27 @@ let make ?(max_states = default_max_states) instance_list =
     messages;
   }
 
-let of_flows ?max_states flows =
-  (* Convenience: index flows 1..n in order. *)
-  make ?max_states (List.mapi (fun i f -> { flow = f; index = i + 1 }) flows)
+(* Indices run 1..n in count order, so they are globally unique. *)
+let instances flows counts =
+  let named name = List.find_opt (fun f -> String.equal f.Flow.name name) flows in
+  match List.find_opt (fun (name, _) -> Option.is_none (named name)) counts with
+  | Some (name, _) ->
+      Error
+        (Printf.sprintf "unknown flow %S in the instance counts (declared: %s)" name
+           (String.concat ", " (List.map (fun f -> f.Flow.name) flows)))
+  | None when counts = [] -> Ok (List.mapi (fun i f -> { flow = f; index = i + 1 }) flows)
+  | None ->
+      let next = ref 0 in
+      let instance f =
+        incr next;
+        { flow = f; index = !next }
+      in
+      Ok
+        (List.concat_map
+           (fun (name, n) -> List.init n (fun _ -> instance (Option.get (named name))))
+           counts)
+
+let of_flows ?max_states flows = make ?max_states (Result.get_ok (instances flows []))
 
 let n_states t = t.n_states
 let n_edges t = t.n_edges

@@ -41,6 +41,12 @@ exception Too_large of int
     product size. *)
 val make : ?max_states:int -> instance list -> t
 
+(** [instances flows counts] builds the instances of a usage scenario,
+    [counts] pairing a flow name with its instance count (empty: one
+    instance of each flow); indices run 1..n. [Error] names a counted
+    flow that [flows] does not declare, and lists the declared ones. *)
+val instances : Flow.t list -> (string * int) list -> (instance list, string) result
+
 (** [of_flows flows] interleaves one instance of each flow, indexed 1..n in
     list order. *)
 val of_flows : ?max_states:int -> Flow.t list -> t

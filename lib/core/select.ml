@@ -136,10 +136,9 @@ let greedy inter ~buffer_width =
   in
   go [] buffer_width pool
 
-let strategy_name = function
-  | Exact -> "exact"
-  | Exact_maximal -> "exact-maximal"
-  | Greedy -> "greedy"
+let strategies = [ ("exact", Exact); ("exact-maximal", Exact_maximal); ("greedy", Greedy) ]
+let strategy_name s = fst (List.find (fun (_, s') -> s' = s) strategies)
+let strategy_of_name name = List.assoc_opt name strategies
 
 let no_fit () = invalid_arg "Select: no message fits the trace buffer"
 

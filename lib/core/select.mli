@@ -11,6 +11,14 @@
       term that still fits; O(n) gain evaluations, for large scenarios. *)
 type strategy = Exact | Exact_maximal | Greedy
 
+(** Every strategy by name (["exact"], ["exact-maximal"], ["greedy"]): the
+    spelling of the CLI, the wire protocol, session files and checkpoint
+    fingerprints. {!strategy_name} and {!strategy_of_name} look it up. *)
+val strategies : (string * strategy) list
+
+val strategy_name : strategy -> string
+val strategy_of_name : string -> strategy option
+
 (** How complete the search behind a result was — the degradation tier of
     an anytime run. *)
 module Tier : sig

@@ -5,8 +5,6 @@
 open Flowtrace_core
 open Flowtrace_soc
 
-let strategies = [ ("exact", Select.Exact); ("exact-maximal", Select.Exact_maximal); ("greedy", Select.Greedy) ]
-
 let strategy_table () =
   let rows =
     List.concat_map
@@ -25,7 +23,7 @@ let strategy_table () =
               Table_render.pct (Select.utilization r);
               Printf.sprintf "%.1f ms" (1000.0 *. dt);
             ])
-          strategies)
+          Select.strategies)
       Scenario.all
   in
   Table_render.make ~title:"Ablation A: Step-2 candidate search strategy (no packing)"

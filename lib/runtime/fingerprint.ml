@@ -14,16 +14,12 @@ let fnv1a64 s =
     s;
   !h
 
-let strategy_tag = function
-  | Select.Exact -> "exact"
-  | Select.Exact_maximal -> "exact-maximal"
-  | Select.Greedy -> "greedy"
-
 let v ~pool ~buffer_width ~strategy ~n_tasks =
   let pool = Combination.canonical_pool pool in
   let buf = Buffer.create 256 in
   Buffer.add_string buf
-    (Printf.sprintf "flowtrace-select|w=%d|s=%s|t=%d" buffer_width (strategy_tag strategy) n_tasks);
+    (Printf.sprintf "flowtrace-select|w=%d|s=%s|t=%d" buffer_width
+       (Select.strategy_name strategy) n_tasks);
   List.iter
     (fun (m : Message.t) ->
       Buffer.add_string buf (Printf.sprintf "|%s:%d" m.Message.name (Message.trace_width m)))

@@ -42,45 +42,11 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Session construction (shared by open-session and resume) *)
 
-let interleave_of_spec spec counts =
-  match Spec_parser.parse_string spec with
-  | exception Spec_parser.Parse_error e ->
-      Error (Printf.sprintf "spec line %d: %s" e.Spec_parser.line e.Spec_parser.message)
-  | [] -> Error "specification declares no flows"
-  | flows -> (
-      let find name = List.find_opt (fun f -> String.equal f.Flow.name name) flows in
-      let instances =
-        match counts with
-        | [] -> List.mapi (fun i f -> { Interleave.flow = f; index = i + 1 }) flows
-        | counts ->
-            let next = ref 0 in
-            List.concat_map
-              (fun (name, n) ->
-                match find name with
-                | None -> []
-                | Some f ->
-                    List.init n (fun _ ->
-                        incr next;
-                        { Interleave.flow = f; index = !next }))
-              counts
-      in
-      if instances = [] then Error "instance specification matches no flow"
-      else
-        try Ok (Interleave.make instances, List.length instances) with
-        | Interleave.Not_legally_indexed m | Interleave.Message_clash m -> Error m
-        | Interleave.Too_large n -> Error (Printf.sprintf "interleaving exceeds %d states" n))
-
 let entry_of_session (s : Store.session) =
-  match interleave_of_spec s.Store.se_spec s.Store.se_instances with
-  | Error m -> Error m
-  | Ok (inter, nflows) ->
-      Ok
-        {
-          e_session = s;
-          e_inter = inter;
-          e_flows = nflows;
-          e_pool = List.length (Interleave.messages inter);
-        }
+  Op.scenario (Op.Text s.Store.se_spec) s.Store.se_instances
+  |> Result.map (fun (inter, e_flows) ->
+         let e_pool = List.length (Interleave.messages inter) in
+         { e_session = s; e_inter = inter; e_flows; e_pool })
 
 let create ?state_dir ?(vfs = Vfs.passthrough) ?(shards = 4) ?(max_inflight = 64) ?(retries = 2)
     ?(backoff_seed = 0) ?(chaos = false) ?(resume = false) () =
@@ -207,112 +173,64 @@ let session_fields (e : entry) =
     ("session", Json.String s.Store.se_id);
     ("tenant", Json.String s.Store.se_tenant);
     ("width", Json.Int s.Store.se_width);
-    ("strategy", Json.String (Store.strategy_name s.Store.se_strategy));
+    ("strategy", Json.String (Select.strategy_name s.Store.se_strategy));
     ("flows", Json.Int e.e_flows);
     ("messages", Json.Int e.e_pool);
   ]
 
+let selected_field (r : Select.result) =
+  Json.List (List.map (fun n -> Json.String n) (Select.selected_names r))
+
 let run_select (e : entry) ~width ~deadline_ms ~max_candidates ~pack =
   let s = e.e_session in
   let buffer_width = Option.value ~default:s.Store.se_width width in
-  if buffer_width < 1 then err "width must be positive"
-  else
-    let deadline =
-      Option.map (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.0)) deadline_ms
-    in
-    match
-      Select.select ~strategy:s.Store.se_strategy ?deadline ?max_candidates ~pack e.e_inter
-        ~buffer_width
-    with
-    | exception Combination.Too_many n ->
-        err "Step-1 enumeration exceeded %d candidate combinations at width %d" n buffer_width
-    | exception Invalid_argument m -> err "%s" m
-    | r ->
-        let status =
-          if Select.Tier.is_degraded r.Select.tier then Proto.Sdegraded else Proto.Sok
-        in
-        ( status,
-          [
-            ( "selected",
-              Json.List (List.map (fun n -> Json.String n) (Select.selected_names r)) );
-            ("gain", Json.Float r.Select.gain);
-            ( "gain_bits",
-              Json.String (Printf.sprintf "%016Lx" (Int64.bits_of_float r.Select.gain)) );
-            ("coverage", Json.Float r.Select.coverage);
-            ("bits_used", Json.Int r.Select.bits_used);
-            ("buffer_width", Json.Int r.Select.buffer_width);
-            ("tier", Json.String (Select.Tier.to_string r.Select.tier));
-          ] )
-
-exception Bad_trace of string
-
-let parse_observed tokens =
-  List.filter_map
-    (fun tok ->
-      if tok = "" then None
-      else
-        match String.index_opt tok ':' with
-        | Some i -> (
-            match int_of_string_opt (String.sub tok 0 i) with
-            | Some inst ->
-                let base = String.sub tok (i + 1) (String.length tok - i - 1) in
-                Some (Indexed.make base inst)
-            | None -> raise (Bad_trace tok))
-        | None -> raise (Bad_trace tok))
-    tokens
+  let deadline =
+    Option.map (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.0)) deadline_ms
+  in
+  match
+    Op.guard ~buffer_width (fun () ->
+        Select.select ~strategy:s.Store.se_strategy ?deadline ?max_candidates ~pack e.e_inter
+          ~buffer_width)
+  with
+  | Error e -> err "%s" (Op.message e)
+  | Ok r ->
+      let status = if Select.Tier.is_degraded r.Select.tier then Proto.Sdegraded else Proto.Sok in
+      ( status,
+        [
+          ("selected", selected_field r);
+          ("gain", Json.Float r.Select.gain);
+          ("gain_bits", Json.String (Printf.sprintf "%016Lx" (Int64.bits_of_float r.Select.gain)));
+          ("coverage", Json.Float r.Select.coverage);
+          ("bits_used", Json.Int r.Select.bits_used);
+          ("buffer_width", Json.Int r.Select.buffer_width);
+          ("tier", Json.String (Select.Tier.to_string r.Select.tier));
+        ] )
 
 let run_localize (e : entry) ~trace ~lossy ~skip_budget ~width =
   let s = e.e_session in
   let buffer_width = Option.value ~default:s.Store.se_width width in
-  if buffer_width < 1 then err "width must be positive"
-  else if skip_budget < 0 then err "skip_budget must be non-negative"
-  else
-    match parse_observed trace with
-    | exception Bad_trace tok -> err "bad indexed message %S (want IDX:NAME)" tok
-    | observed -> (
-        match
-          Select.select ~strategy:s.Store.se_strategy e.e_inter ~buffer_width
-        with
-        | exception Combination.Too_many n ->
-            err "Step-1 enumeration exceeded %d candidate combinations at width %d" n
-              buffer_width
-        | exception Invalid_argument m -> err "%s" m
-        | sel ->
-            let selected b = Select.is_observable sel b in
-            let total = Interleave.total_paths e.e_inter in
-            let selection =
-              ( "selection",
-                Json.List
-                  (List.map (fun n -> Json.String n) (Select.selected_names sel)) )
-            in
-            if lossy then
-              let r =
-                Localize.lossy ~semantics:Localize.Prefix ~skip_budget e.e_inter ~selected
-                  ~observed
-              in
-              ( Proto.Sok,
-                [
-                  selection;
-                  ("consistent", Json.Int r.Localize.lr_consistent);
-                  ("total", Json.Int total);
-                  ("fraction", Json.Float (Localize.lossy_fraction r));
-                  ("discarded", Json.Int r.Localize.lr_discarded);
-                  ("skips", Json.Int r.Localize.lr_skips);
-                  ("confidence", Json.Float r.Localize.lr_confidence);
-                ] )
-            else
-              let consistent =
-                Localize.consistent_paths ~semantics:Localize.Prefix e.e_inter ~selected
-                  ~observed
-              in
-              ( Proto.Sok,
-                [
-                  selection;
-                  ("consistent", Json.Int consistent);
-                  ("total", Json.Int total);
-                  ( "fraction",
-                    Json.Float (float_of_int consistent /. float_of_int (max 1 total)) );
-                ] ))
+  match
+    Op.localize ~strategy:s.Store.se_strategy e.e_inter ~buffer_width ~lossy ~skip_budget
+      (Op.Tokens trace)
+  with
+  | Error e -> err "%s" (Op.message e)
+  | Ok l ->
+      ( Proto.Sok,
+        [
+          ("selection", selected_field l.Op.selection);
+          ("consistent", Json.Int l.Op.consistent);
+          ("total", Json.Int l.Op.total);
+          ("fraction", Json.Float l.Op.fraction);
+        ]
+        @
+        match l.Op.lossy with
+        | None -> []
+        | Some r ->
+            [
+              ("discarded", Json.Int r.Localize.lr_discarded);
+              ("skips", Json.Int r.Localize.lr_skips);
+              ("confidence", Json.Float r.Localize.lr_confidence);
+            ] )
 
 let run_mine ~trace_text ~support ~min_count =
   let open Flowtrace_mining in
@@ -320,24 +238,10 @@ let run_mine ~trace_text ~support ~min_count =
   | exception Flowtrace_soc.Trace_io.Parse_error e ->
       err "trace line %d: %s" e.Flowtrace_soc.Trace_io.line e.Flowtrace_soc.Trace_io.message
   | packets -> (
-      let d = Miner.default_config in
-      let config =
-        {
-          d with
-          Miner.support = Option.value ~default:d.Miner.support support;
-          min_count = Option.value ~default:d.Miner.min_count min_count;
-        }
-      in
-      match Miner.mine ~config ~file:"<request>" [ packets ] with
-      | exception Invalid_argument m -> err "%s" m
-      | r ->
-          let status =
-            if Miner.degraded r.Miner.r_diags then Proto.Sdegraded
-            else if List.exists (fun d -> d.Diagnostic.severity = Diagnostic.Error) r.Miner.r_diags
-            then Proto.Serror
-            else Proto.Sok
-          in
-          ( status,
+      match Op.mine ?support ?min_count ~file:"<request>" [ packets ] with
+      | Error m -> err "%s" m
+      | Ok r ->
+          ( Proto.status_of_exit (Op.mine_exit_code r.Miner.r_diags),
             [
               ("episodes", Json.Int r.Miner.r_episodes);
               ( "flows",
@@ -356,9 +260,7 @@ let run_mine ~trace_text ~support ~min_count =
               ("spec", Json.String (Miner.spec_text r));
               ( "diagnostics",
                 Json.List
-                  (List.map
-                     (fun d -> Json.String (Diagnostic.render d))
-                     r.Miner.r_diags) );
+                  (List.map (fun d -> Json.String (Diagnostic.render d)) r.Miner.r_diags) );
             ] ))
 
 (* ------------------------------------------------------------------ *)

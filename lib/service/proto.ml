@@ -91,12 +91,10 @@ let get_bool obj key =
   | Some _ -> fail "field %S must be a boolean" key
 
 let get_strategy obj =
-  match get_str obj "strategy" with
-  | None -> Select.Exact
-  | Some "exact" -> Select.Exact
-  | Some "exact-maximal" -> Select.Exact_maximal
-  | Some "greedy" -> Select.Greedy
-  | Some s -> fail "unknown strategy %S (exact, exact-maximal or greedy)" s
+  let name = Option.value ~default:"exact" (get_str obj "strategy") in
+  match Select.strategy_of_name name with
+  | Some strategy -> strategy
+  | None -> fail "unknown strategy %S (exact, exact-maximal or greedy)" name
 
 let get_instances obj =
   match Json.member "instances" obj with
@@ -214,6 +212,7 @@ let status_name = function
   | Serror -> "error"
 
 let status_exit = function Sok -> 0 | Sdegraded | Sbusy -> 3 | Serror -> 1
+let status_of_exit = function 0 -> Sok | 3 -> Sdegraded | _ -> Serror
 
 let response ?id ~op status fields =
   let envelope =

@@ -91,6 +91,9 @@ val status_name : status -> string
 (** The exit code the status mirrors (see the table above). *)
 val status_exit : status -> int
 
+(** The status a CLI exit code maps to: 0 ["ok"], 3 ["degraded"], else ["error"]. *)
+val status_of_exit : int -> status
+
 (** [response ?id ~op status fields] renders one response line (no
     trailing newline). Fields are emitted in the given order after the
     [id]/[op]/[status]/[exit] envelope — keep them deterministic. *)

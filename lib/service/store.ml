@@ -50,24 +50,13 @@ let unescape s =
   done;
   Buffer.contents b
 
-let strategy_name = function
-  | Select.Exact -> "exact"
-  | Select.Exact_maximal -> "exact-maximal"
-  | Select.Greedy -> "greedy"
-
-let strategy_of_name = function
-  | "exact" -> Some Select.Exact
-  | "exact-maximal" -> Some Select.Exact_maximal
-  | "greedy" -> Some Select.Greedy
-  | _ -> None
-
 let save ?(vfs = Vfs.passthrough) ~dir s =
   let records =
     [
       "id " ^ s.se_id;
       "tenant " ^ escape s.se_tenant;
       Printf.sprintf "width %d" s.se_width;
-      "strategy " ^ strategy_name s.se_strategy;
+      "strategy " ^ Select.strategy_name s.se_strategy;
     ]
     @ List.map (fun (name, n) -> Printf.sprintf "inst %s %d" name n) s.se_instances
     (* last on purpose: a torn tail loses the spec first, and a session
@@ -105,7 +94,7 @@ let of_records ~path records =
             | Some w when w > 0 -> width := w
             | _ -> bad := Some (Printf.sprintf "bad width record %S" rest))
         | "strategy" -> (
-            match strategy_of_name rest with
+            match Select.strategy_of_name rest with
             | Some s -> strategy := s
             | None -> bad := Some (Printf.sprintf "bad strategy record %S" rest))
         | "inst" -> (

@@ -30,9 +30,6 @@ type session = {
   se_spec : string;
 }
 
-(** The wire name of a strategy ("exact", "exact-maximal", "greedy"). *)
-val strategy_name : Select.strategy -> string
-
 (** [file_of ~dir id] is the session's journal path,
     [dir ^ "/session-" ^ id ^ ".ckpt"] (ids are path-safe by
     {!Proto.valid_session_id}). *)

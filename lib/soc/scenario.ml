@@ -79,13 +79,9 @@ let participating_ips t =
    to drive analysis-scale simulations, so observed traces project
    directly onto the interleaving. *)
 let analysis_instances t =
-  let next = ref 0 in
-  List.concat_map
-    (fun (name, count) ->
-      List.init count (fun _ ->
-          incr next;
-          { Interleave.flow = T2.flow_by_name name; index = !next }))
-    t.analysis_counts
+  match Interleave.instances (flows t) t.analysis_counts with
+  | Ok instances -> instances
+  | Error m -> invalid_arg m
 
 let interleave ?(max_states = 2_000_000) t =
   Interleave.make ~max_states (analysis_instances t)

@@ -108,8 +108,7 @@ let fresh_env ~rng ~slot (flow : Flow.t) =
    the same DMU. Analysis-scale instance set, globally uniquely indexed. *)
 let scenario_flows = [ T2.pior; T2.piow; dmar; dmaw ]
 
-let analysis_instances () =
-  List.mapi (fun i f -> { Interleave.flow = f; index = i + 1 }) scenario_flows
+let analysis_instances () = Result.get_ok (Interleave.instances scenario_flows [])
 
 let interleave () = Interleave.make (analysis_instances ())
 

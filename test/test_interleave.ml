@@ -179,12 +179,34 @@ let prop_trace_length_matches_states =
       let path = Execution.random ~rng:(Rng.create seed) inter in
       List.length path.Execution.trace = List.length path.Execution.states - 1)
 
+(* Instance counts index 1..n in count order; an unknown flow name is an
+   error naming it and the declared flows, never a silent drop. *)
+let test_instances_from_counts () =
+  let a = chain ~name:"a" ~len:1 and b = chain ~name:"b" ~len:1 in
+  let described = function
+    | Ok is -> List.map (fun i -> (i.Interleave.flow.Flow.name, i.Interleave.index)) is
+    | Error m -> Alcotest.failf "unexpected error: %s" m
+  in
+  Alcotest.(check (list (pair string int)))
+    "counts" [ ("b", 1); ("a", 2); ("a", 3) ]
+    (described (Interleave.instances [ a; b ] [ ("b", 1); ("a", 2) ]));
+  Alcotest.(check (list (pair string int)))
+    "default: one of each" [ ("a", 1); ("b", 2) ]
+    (described (Interleave.instances [ a; b ] []));
+  match Interleave.instances [ a; b ] [ ("a", 1); ("zz", 1) ] with
+  | Ok _ -> Alcotest.fail "unknown flow accepted"
+  | Error m ->
+      Alcotest.(check string)
+        "names the flow and the declared ones"
+        {|unknown flow "zz" in the instance counts (declared: a, b)|} m
+
 let () =
   Alcotest.run "interleave"
     [
       ( "product",
         [
           Alcotest.test_case "grid states/edges" `Quick test_grid_states;
+          Alcotest.test_case "instances from counts" `Quick test_instances_from_counts;
           Alcotest.test_case "binomial paths" `Quick test_grid_paths;
           Alcotest.test_case "three-way multinomial" `Quick test_three_way_paths;
           Alcotest.test_case "single instance" `Quick test_single_instance_is_flow;

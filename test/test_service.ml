@@ -443,6 +443,57 @@ let test_dispatch_resume_quarantines_corrupt () =
   let _t3, diags = Dispatch.create ~state_dir:dir ~resume:true () in
   Alcotest.(check bool) "second resume is clean" true (diags = [])
 
+(* The instance counts name a flow the spec does not declare: the open
+   is refused (nothing persisted), and a session persisted with such a
+   name by an older daemon is dropped on resume as one that no longer
+   builds (RT005). *)
+let test_dispatch_unknown_flow_in_counts () =
+  with_tmpdir @@ fun dir ->
+  let t, _ = Dispatch.create ~state_dir:dir () in
+  let instances = Json.Obj [ ("F", Json.Int 1); ("NoSuch", Json.Int 1) ] in
+  let resp =
+    handle t
+      (req
+         [
+           ("op", Json.String "open-session");
+           ("session", Json.String "u");
+           ("spec", Json.String spec_text);
+           ("instances", instances);
+         ])
+  in
+  check_status ~what:"unknown flow" ~status:"error" ~exit:1 resp;
+  Alcotest.(check string)
+    "names the unknown and the declared flows"
+    {|unknown flow "NoSuch" in the instance counts (declared: F)|} (str_field "error" resp);
+  Alcotest.(check bool) "not persisted" false (Sys.file_exists (Store.file_of ~dir "u"));
+  Store.save ~dir
+    {
+      Store.se_id = "u";
+      se_tenant = "default";
+      se_width = 8;
+      se_strategy = Flowtrace_core.Select.Exact;
+      se_instances = [ ("F", 1); ("NoSuch", 1) ];
+      se_spec = spec_text;
+    };
+  let t2, diags = Dispatch.create ~state_dir:dir ~resume:true () in
+  Alcotest.(check (list string)) "dropped on resume" [] (Dispatch.session_ids t2);
+  Alcotest.(check (list string))
+    "as RT005" [ "RT005" ]
+    (List.map (fun (d : Dispatch.Diagnostic.t) -> d.Dispatch.Diagnostic.code) diags)
+
+(* MN002 (an error) always arrives with MN090 (degraded): errors win, as
+   in the CLI's exit code, so the daemon answers "error", not
+   "degraded". *)
+let test_mine_status_errors_win () =
+  let span = Flowtrace_core.Srcspan.none "t" in
+  let module Mn = Flowtrace_analysis.Mn in
+  let diags = [ Mn.v "MN002" span "mined flow F failed validation"; Mn.v "MN090" span "degraded" ] in
+  Alcotest.(check int) "exit code" 1 (Op.mine_exit_code diags);
+  Alcotest.(check string) "daemon status" "error"
+    (Proto.status_name (Proto.status_of_exit (Op.mine_exit_code diags)));
+  Alcotest.(check int) "degraded alone" 3 (Op.mine_exit_code [ Mn.v "MN090" span "degraded" ]);
+  Alcotest.(check int) "clean" 0 (Op.mine_exit_code [])
+
 let test_dispatch_sharding () =
   let t, _ = Dispatch.create ~shards:4 () in
   Alcotest.(check int) "shard count" 4 (Dispatch.n_shards t);
@@ -490,5 +541,9 @@ let () =
             `Quick test_dispatch_resume_quarantines_corrupt;
           Alcotest.test_case "sharding is stable and bounded" `Quick
             test_dispatch_sharding;
+          Alcotest.test_case "an unknown flow in the counts is refused" `Quick
+            test_dispatch_unknown_flow_in_counts;
+          Alcotest.test_case "mine status: errors win over degraded" `Quick
+            test_mine_status_errors_win;
         ] );
     ]

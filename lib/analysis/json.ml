@@ -1,252 +1,3 @@
-type t =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | String of string
-  | List of t list
-  | Obj of (string * t) list
-
-(* --- printing ------------------------------------------------------ *)
-
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
-let float_literal f =
-  if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.17g" f
-
-let rec write ~indent ~level buf v =
-  let nl pad =
-    if indent then begin
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (String.make (2 * pad) ' ')
-    end
-  in
-  match v with
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (float_literal f)
-  | String s -> Buffer.add_string buf (escape_string s)
-  | List [] -> Buffer.add_string buf "[]"
-  | List items ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char buf ',';
-          nl (level + 1);
-          write ~indent ~level:(level + 1) buf item)
-        items;
-      nl level;
-      Buffer.add_char buf ']'
-  | Obj [] -> Buffer.add_string buf "{}"
-  | Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, fv) ->
-          if i > 0 then Buffer.add_char buf ',';
-          nl (level + 1);
-          Buffer.add_string buf (escape_string k);
-          Buffer.add_char buf ':';
-          if indent then Buffer.add_char buf ' ';
-          write ~indent ~level:(level + 1) buf fv)
-        fields;
-      nl level;
-      Buffer.add_char buf '}'
-
-let render ~indent v =
-  let buf = Buffer.create 256 in
-  write ~indent ~level:0 buf v;
-  Buffer.contents buf
-
-let to_string v = render ~indent:false v
-let to_string_pretty v = render ~indent:true v
-
-(* --- parsing ------------------------------------------------------- *)
-
-exception Fail of string
-
-let parse s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail fmt = Printf.ksprintf (fun m -> raise (Fail (Printf.sprintf "%s at offset %d" m !pos))) fmt in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      advance ()
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> fail "expected %C, got %C" c c'
-    | None -> fail "expected %C, got end of input" c
-  in
-  let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail "invalid literal"
-  in
-  let add_utf8 buf cp =
-    if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-    else if cp < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-    end
-    else begin
-      Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-    end
-  in
-  let parse_hex4 () =
-    if !pos + 4 > n then fail "truncated \\u escape";
-    let h = String.sub s !pos 4 in
-    pos := !pos + 4;
-    match int_of_string_opt ("0x" ^ h) with Some v -> v | None -> fail "bad \\u escape %S" h
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | None -> fail "unterminated escape"
-          | Some c ->
-              advance ();
-              (match c with
-              | '"' -> Buffer.add_char buf '"'
-              | '\\' -> Buffer.add_char buf '\\'
-              | '/' -> Buffer.add_char buf '/'
-              | 'n' -> Buffer.add_char buf '\n'
-              | 'r' -> Buffer.add_char buf '\r'
-              | 't' -> Buffer.add_char buf '\t'
-              | 'b' -> Buffer.add_char buf '\b'
-              | 'f' -> Buffer.add_char buf '\012'
-              | 'u' -> add_utf8 buf (parse_hex4 ())
-              | c -> fail "bad escape \\%c" c);
-              go ())
-      | Some c ->
-          advance ();
-          Buffer.add_char buf c;
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let numchar c =
-      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    in
-    while !pos < n && numchar s.[!pos] do
-      advance ()
-    done;
-    let lit = String.sub s start (!pos - start) in
-    match int_of_string_opt lit with
-    | Some i -> Int i
-    | None -> (
-        match float_of_string_opt lit with
-        | Some f -> Float f
-        | None -> fail "bad number %S" lit)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> String (parse_string ())
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          List (items [])
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else
-          let field () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            (k, v)
-          in
-          let rec fields acc =
-            let f = field () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                fields (f :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev (f :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          Obj (fields [])
-    | Some _ -> parse_number ()
-  in
-  match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos < n then fail "trailing garbage";
-    v
-  with
-  | v -> Ok v
-  | exception Fail m -> Error m
-
-(* --- accessors ----------------------------------------------------- *)
-
-let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
-
-let to_int_opt = function Int i -> Some i | _ -> None
-let to_string_opt = function String s -> Some s | _ -> None
-let to_list_opt = function List l -> Some l | _ -> None
+(* The diagnostics, the protocol and the CLI reach JSON under this name;
+   the one implementation sits below core, in the telemetry library. *)
+include Flowtrace_telemetry.Json

@@ -15,9 +15,183 @@ type snapshot = {
 }
 
 let span path line = Srcspan.make ~file:path ~line ~col:1
+let ( let* ) = Result.bind
 
 (* ------------------------------------------------------------------ *)
-(* Rendering *)
+(* The sealed-record framing, shared by the two codecs below *)
+
+(* A codec over the framing: [magic] opens its header line and [noun]
+   names it in diagnostics. [header] parses the header fields after the
+   version ([None]: unrecognized, [Some (Error m)]: an RT002 saying [m]);
+   [payload] parses one CRC-checked record ([None]: malformed). *)
+type ('h, 'r) codec = {
+  magic : string;
+  noun : string;
+  header : string -> ('h, string) result option;
+  payload : string -> 'r option;
+}
+
+let frame buf payload =
+  Buffer.add_string buf (Crc32.to_hex (Crc32.string payload));
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf payload;
+  Buffer.add_char buf '\n'
+
+let unframe line =
+  let n = String.length line in
+  if n > 9 && line.[8] = ' ' then
+    let payload = String.sub line 9 (n - 9) in
+    if String.equal (String.sub line 0 8) (Crc32.to_hex (Crc32.string payload)) then Some payload
+    else None
+  else None
+
+(* The one writer of the [end] seal: record count plus the CRC-32 of
+   everything above it. *)
+let write_sealed codec ?(vfs = Vfs.passthrough) ~path ~fields payloads =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf (Printf.sprintf "%s v%d %s\n" codec.magic version fields);
+  List.iter (frame buf) payloads;
+  let body = Crc32.string (Buffer.contents buf) in
+  frame buf (Printf.sprintf "end %d %s" (List.length payloads) (Crc32.to_hex body));
+  Vfs.atomic_replace vfs ~path (Buffer.contents buf)
+
+(* The one reader of the [end] seal. *)
+let seal payload =
+  if not (String.starts_with ~prefix:"end " payload) then None
+  else
+    match String.split_on_char ' ' payload with
+    | [ _; count; crc ] -> Option.map (fun n -> (n, crc)) (int_of_string_opt count)
+    | _ -> None
+
+(* [read_sealed codec path] is the header and the [(line, record)] list in
+   file order, with the RT006 warning when a damaged or missing tail was
+   cut off. *)
+let read_sealed codec ?(vfs = Vfs.passthrough) path =
+  match vfs.Vfs.read_file path with
+  | exception Vfs.Io_error { e_msg; _ } ->
+      Error [ Rt.v "RT001" (Srcspan.none path) "cannot read journal: %s" e_msg ]
+  | text -> (
+      (* a final newline ends the last line; it does not start an empty one *)
+      let text =
+        if String.ends_with ~suffix:"\n" text then String.sub text 0 (String.length text - 1)
+        else text
+      in
+      let unrecognized =
+        Error [ Rt.v "RT002" (span path 1) "not a flowtrace %s (unrecognized header)" codec.noun ]
+      in
+      match String.split_on_char '\n' text with
+      | [] -> unrecognized
+      | hdr :: body -> (
+          let* h =
+            match Scanf.sscanf hdr "%s@ v%d %[^\n]" (fun m v fields -> (m, v, fields)) with
+            | exception _ -> unrecognized
+            | m, _, _ when m <> codec.magic -> unrecognized
+            | _, v, _ when v <> version ->
+                Error
+                  [
+                    Rt.v "RT003" (span path 1) "%s version v%d is not supported (this build reads v%d)"
+                      codec.noun v version;
+                  ]
+            | _, _, fields -> (
+                match codec.header fields with
+                | None -> unrecognized
+                | Some (Error m) -> Error [ Rt.v "RT002" (span path 1) "%s" m ]
+                | Some (Ok h) -> Ok h)
+          in
+          let rec walk lineno crc seen acc = function
+            | [] ->
+                Ok
+                  ( h,
+                    List.rev acc,
+                    [
+                      Rt.v "RT006" (span path (lineno - 1))
+                        "%s has no end record (truncated); recovering the valid %d-record prefix"
+                        codec.noun seen;
+                    ] )
+            | line :: rest -> (
+                (* a damaged final line is indistinguishable from a cut-off
+                   write tail: recover the prefix. Damage higher up is a
+                   hard error. *)
+                let damaged () =
+                  if rest = [] then
+                    Ok
+                      ( h,
+                        List.rev acc,
+                        [
+                          Rt.v "RT006" (span path lineno)
+                            "%s tail truncated at line %d; recovering the valid %d-record prefix"
+                            codec.noun lineno seen;
+                        ] )
+                  else Error [ Rt.v "RT005" (span path lineno) "corrupt record" ]
+                in
+                match unframe line with
+                | None -> damaged ()
+                | Some payload -> (
+                    match seal payload with
+                    | Some (count, _) when count <> seen ->
+                        Error
+                          [
+                            Rt.v "RT007" (span path lineno)
+                              "end record expects %d records but %d are present" count seen;
+                          ]
+                    | Some (_, sum) when not (String.equal sum (Crc32.to_hex crc)) ->
+                        Error
+                          [
+                            Rt.v "RT007" (span path lineno)
+                              "whole-file checksum mismatch (%s was modified)" codec.noun;
+                          ]
+                    | Some _ when rest <> [] ->
+                        Error
+                          [ Rt.v "RT007" (span path (lineno + 1)) "content after the end record" ]
+                    | Some _ -> Ok (h, List.rev acc, [])
+                    | None -> (
+                        match codec.payload payload with
+                        | None -> damaged ()
+                        | Some r ->
+                            walk (lineno + 1)
+                              (Crc32.update crc (line ^ "\n"))
+                              (seen + 1)
+                              ((lineno, r) :: acc)
+                              rest)))
+          in
+          walk 2 (Crc32.update 0l (hdr ^ "\n")) 0 [] body))
+
+(* ------------------------------------------------------------------ *)
+(* Codec 1: the checkpoint snapshot *)
+
+type record =
+  | Explored of int
+  | Done_task of int
+  | Task_best of int * best
+  | Best of best
+
+let parse_best gain bits names =
+  match (Int64.of_string_opt ("0x" ^ gain), int_of_string_opt bits) with
+  | Some g, Some b -> Some { b_names = String.split_on_char ',' names; b_gain = g; b_bits = b }
+  | _ -> None
+
+let checkpoint =
+  {
+    magic = "flowtrace-journal";
+    noun = "journal";
+    header =
+      (fun fields ->
+        match Scanf.sscanf fields "fp=%s@ tasks=%d" (fun fp n -> (fp, n)) with
+        | exception _ -> None
+        | _, n when n < 0 -> Some (Error "corrupt header (negative task count)")
+        | h -> Some (Ok h));
+    payload =
+      (fun payload ->
+        match String.split_on_char ' ' payload with
+        | [ "x"; n ] -> Option.map (fun n -> Explored n) (int_of_string_opt n)
+        | [ "d"; n ] -> Option.map (fun n -> Done_task n) (int_of_string_opt n)
+        | [ "b"; gain; bits; names ] -> Option.map (fun b -> Best b) (parse_best gain bits names)
+        | [ "t"; id; gain; bits; names ] -> (
+            match (int_of_string_opt id, parse_best gain bits names) with
+            | Some id, Some b -> Some (Task_best (id, b))
+            | _ -> None)
+        | _ -> None);
+  }
 
 let check_name n =
   if n = "" then invalid_arg "Journal.write: empty message name";
@@ -29,212 +203,63 @@ let check_name n =
       | _ -> ())
     n
 
-let render snap =
-  let buf = Buffer.create 1024 in
-  let records = ref 0 in
-  Buffer.add_string buf
-    (Printf.sprintf "flowtrace-journal v%d fp=%s tasks=%d\n" version snap.s_fingerprint
-       snap.s_total_tasks);
-  let record payload =
-    incr records;
-    Buffer.add_string buf (Crc32.to_hex (Crc32.string payload));
-    Buffer.add_char buf ' ';
-    Buffer.add_string buf payload;
-    Buffer.add_char buf '\n'
-  in
-  record (Printf.sprintf "x %d" snap.s_explored);
-  Array.iteri (fun i d -> if d then record (Printf.sprintf "d %d" i)) snap.s_done;
-  List.iter
-    (fun (id, b) ->
-      List.iter check_name b.b_names;
-      record
-        (Printf.sprintf "t %d %016Lx %d %s" id b.b_gain b.b_bits (String.concat "," b.b_names)))
-    (List.sort (fun (a, _) (b, _) -> compare a b) snap.s_task_bests);
-  (match snap.s_best with
-  | None -> ()
-  | Some b ->
-      List.iter check_name b.b_names;
-      record (Printf.sprintf "b %016Lx %d %s" b.b_gain b.b_bits (String.concat "," b.b_names)));
-  (* the end record seals everything above it *)
-  let body_crc = Crc32.string (Buffer.contents buf) in
-  let endp = Printf.sprintf "end %d %s" !records (Crc32.to_hex body_crc) in
-  Buffer.add_string buf (Crc32.to_hex (Crc32.string endp));
-  Buffer.add_char buf ' ';
-  Buffer.add_string buf endp;
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+let best_fields b =
+  List.iter check_name b.b_names;
+  Printf.sprintf "%016Lx %d %s" b.b_gain b.b_bits (String.concat "," b.b_names)
 
-let write ?(vfs = Vfs.passthrough) ~path snap =
+let write ?vfs ~path snap =
   if Array.length snap.s_done <> snap.s_total_tasks then
     invalid_arg "Journal.write: done array does not match the task count";
-  Vfs.atomic_replace vfs ~path (render snap)
+  let done_ =
+    List.init snap.s_total_tasks Fun.id
+    |> List.filter (Array.get snap.s_done)
+    |> List.map (Printf.sprintf "d %d")
+  in
+  let task_bests =
+    List.sort (fun (a, _) (b, _) -> compare a b) snap.s_task_bests
+    |> List.map (fun (id, b) -> Printf.sprintf "t %d %s" id (best_fields b))
+  in
+  let best = Option.to_list (Option.map (fun b -> "b " ^ best_fields b) snap.s_best) in
+  write_sealed checkpoint ?vfs ~path
+    ~fields:(Printf.sprintf "fp=%s tasks=%d" snap.s_fingerprint snap.s_total_tasks)
+    ((Printf.sprintf "x %d" snap.s_explored :: done_) @ task_bests @ best)
+
+let load ?vfs path =
+  let* (fingerprint, total), records, warnings = read_sealed checkpoint ?vfs path in
+  let done_ = Array.make total false in
+  let rec fold explored best task_bests = function
+    | [] ->
+        Ok
+          ( {
+              s_fingerprint = fingerprint;
+              s_total_tasks = total;
+              s_done = done_;
+              s_best = best;
+              s_task_bests = List.sort (fun (a, _) (b, _) -> compare a b) task_bests;
+              s_explored = explored;
+            },
+            warnings )
+    | (line, (Done_task id | Task_best (id, _))) :: _ when id < 0 || id >= total ->
+        Error
+          [
+            Rt.v "RT005" (span path line) "task id %d out of range (journal declares %d tasks)" id
+              total;
+          ]
+    | (_, r) :: rest -> (
+        match r with
+        | Explored n -> fold n best task_bests rest
+        | Done_task id ->
+            done_.(id) <- true;
+            fold explored best task_bests rest
+        | Task_best (id, b) -> fold explored best ((id, b) :: List.remove_assoc id task_bests) rest
+        | Best b -> fold explored (Some b) task_bests rest)
+  in
+  fold 0 None [] records
 
 (* ------------------------------------------------------------------ *)
-(* Parsing *)
-
-type parsed =
-  | Explored of int
-  | Done_task of int
-  | Best of best
-  | Task_best of int * best
-  | End of int * string
-
-let parse_best gain bits names =
-  match (Int64.of_string_opt ("0x" ^ gain), int_of_string_opt bits) with
-  | Some g, Some b -> Some { b_names = String.split_on_char ',' names; b_gain = g; b_bits = b }
-  | _ -> None
-
-let parse_payload payload =
-  match String.split_on_char ' ' payload with
-  | [ "x"; n ] -> Option.map (fun n -> Explored n) (int_of_string_opt n)
-  | [ "d"; n ] -> Option.map (fun n -> Done_task n) (int_of_string_opt n)
-  | [ "b"; gain; bits; names ] -> Option.map (fun b -> Best b) (parse_best gain bits names)
-  | [ "t"; id; gain; bits; names ] -> (
-      match (int_of_string_opt id, parse_best gain bits names) with
-      | Some id, Some b -> Some (Task_best (id, b))
-      | _ -> None)
-  | [ "end"; count; crc ] -> Option.map (fun c -> End (c, crc)) (int_of_string_opt count)
-  | _ -> None
-
-let load ?(vfs = Vfs.passthrough) path =
-  match vfs.Vfs.read_file path with
-  | exception Vfs.Io_error { e_msg; _ } ->
-      Error [ Rt.v "RT001" (Srcspan.none path) "cannot read journal: %s" e_msg ]
-  | text -> (
-      let complete_last_line = String.length text > 0 && text.[String.length text - 1] = '\n' in
-      let lines =
-        match List.rev (String.split_on_char '\n' text) with
-        | "" :: rest when complete_last_line -> List.rev rest
-        | rev -> List.rev rev
-      in
-      match lines with
-      | [] -> Error [ Rt.v "RT002" (span path 1) "empty file is not a flowtrace journal" ]
-      | header :: records -> (
-          match
-            Scanf.sscanf header "flowtrace-journal v%d fp=%s@ tasks=%d" (fun v fp n -> (v, fp, n))
-          with
-          | exception _ ->
-              Error
-                [ Rt.v "RT002" (span path 1) "not a flowtrace journal (unrecognized header)" ]
-          | v, _, _ when v <> version ->
-              Error
-                [
-                  Rt.v "RT003" (span path 1) "journal version v%d is not supported (this build reads v%d)" v
-                    version;
-                ]
-          | _, _, total when total < 0 ->
-              Error [ Rt.v "RT002" (span path 1) "corrupt header (negative task count)" ]
-          | _, fingerprint, total -> (
-              let done_ = Array.make total false in
-              let best = ref None in
-              let task_bests = ref [] in
-              let explored = ref 0 in
-              let seen = ref 0 in
-              let body_crc = ref (Crc32.update 0l (header ^ "\n")) in
-              let warnings = ref [] in
-              let error = ref None in
-              let ended = ref false in
-              let n_lines = List.length records in
-              (try
-                 List.iteri
-                   (fun i line ->
-                     let lineno = i + 2 in
-                     let last = i = n_lines - 1 in
-                     let fail d =
-                       error := Some d;
-                       raise Exit
-                     in
-                     let truncated () =
-                       warnings :=
-                         [
-                           Rt.v "RT006" (span path lineno)
-                             "journal tail truncated at line %d; resuming from the valid %d-record \
-                              prefix"
-                             lineno !seen;
-                         ];
-                       raise Exit
-                     in
-                     if !ended then
-                       fail (Rt.v "RT007" (span path lineno) "content after the end record");
-                     let parsed =
-                       if String.length line > 9 && line.[8] = ' ' then
-                         let crc = String.sub line 0 8 in
-                         let payload = String.sub line 9 (String.length line - 9) in
-                         if String.equal crc (Crc32.to_hex (Crc32.string payload)) then
-                           parse_payload payload
-                         else None
-                       else None
-                     in
-                     match parsed with
-                     | None ->
-                         (* a damaged final line is indistinguishable from a cut-off
-                            write tail: recover the prefix. Damage higher up is a
-                            hard error. *)
-                         if last then truncated ()
-                         else fail (Rt.v "RT005" (span path lineno) "corrupt journal record")
-                     | Some (End (count, crc)) ->
-                         if count <> !seen then
-                           fail
-                             (Rt.v "RT007" (span path lineno)
-                                "end record expects %d records but %d are present" count !seen);
-                         if not (String.equal crc (Crc32.to_hex !body_crc)) then
-                           fail
-                             (Rt.v "RT007" (span path lineno)
-                                "whole-file checksum mismatch (journal was modified)");
-                         ended := true
-                     | Some record -> (
-                         incr seen;
-                         body_crc := Crc32.update !body_crc (line ^ "\n");
-                         match record with
-                         | Explored n -> explored := n
-                         | Done_task id ->
-                             if id < 0 || id >= total then
-                               fail
-                                 (Rt.v "RT005" (span path lineno)
-                                    "task id %d out of range (journal declares %d tasks)" id total)
-                             else done_.(id) <- true
-                         | Best b -> best := Some b
-                         | Task_best (id, b) ->
-                             if id < 0 || id >= total then
-                               fail
-                                 (Rt.v "RT005" (span path lineno)
-                                    "task id %d out of range (journal declares %d tasks)" id total)
-                             else
-                               task_bests :=
-                                 (id, b) :: List.remove_assoc id !task_bests
-                         | End _ -> assert false))
-                   records
-               with Exit -> ());
-              match !error with
-              | Some d -> Error [ d ]
-              | None ->
-                  if (not !ended) && !warnings = [] then
-                    warnings :=
-                      [
-                        Rt.v "RT006" (span path (n_lines + 1))
-                          "journal has no end record (truncated); resuming from the valid \
-                           %d-record prefix"
-                          !seen;
-                      ];
-                  Ok
-                    ( {
-                        s_fingerprint = fingerprint;
-                        s_total_tasks = total;
-                        s_done = done_;
-                        s_best = !best;
-                        s_task_bests =
-                          List.sort (fun (a, _) (b, _) -> compare a b) !task_bests;
-                        s_explored = !explored;
-                      },
-                      !warnings ))))
-
-(* ------------------------------------------------------------------ *)
-(* The generic record log: the same crash-safety discipline with opaque
-   payloads, used by the service layer as its session storage engine. *)
+(* Codec 2: the record log, opaque newline-free payloads *)
 
 module Log = struct
-  let header kind = Printf.sprintf "flowtrace-log v%d kind=%s" version kind
-
   let check_kind kind =
     if kind = "" then invalid_arg "Journal.Log: empty kind";
     String.iter
@@ -244,147 +269,34 @@ module Log = struct
         | _ -> ())
       kind
 
-  let render ~kind records =
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf (header kind);
-    Buffer.add_char buf '\n';
-    let count = ref 0 in
-    let record payload =
-      incr count;
-      Buffer.add_string buf (Crc32.to_hex (Crc32.string payload));
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf payload;
-      Buffer.add_char buf '\n'
+  let codec kind =
+    {
+      magic = "flowtrace-log";
+      noun = "record log";
+      header =
+        (fun fields ->
+          match Scanf.sscanf fields "kind=%s" Fun.id with
+          | exception _ -> None
+          | k when k <> kind ->
+              Some (Error (Printf.sprintf "record log kind %S is not the expected %S" k kind))
+          | _ -> Some (Ok ()));
+      payload =
+        (fun p ->
+          if String.starts_with ~prefix:"r " p then Some (String.sub p 2 (String.length p - 2))
+          else None);
+    }
+
+  let write ?vfs ~path ~kind records =
+    check_kind kind;
+    let payload r =
+      if String.contains r '\n' || String.contains r '\r' then
+        invalid_arg "Journal.Log.write: record contains a newline";
+      "r " ^ r
     in
-    List.iter
-      (fun r ->
-        if String.contains r '\n' || String.contains r '\r' then
-          invalid_arg "Journal.Log.write: record contains a newline";
-        record ("r " ^ r))
-      records;
-    let body_crc = Crc32.string (Buffer.contents buf) in
-    let endp = Printf.sprintf "end %d %s" !count (Crc32.to_hex body_crc) in
-    Buffer.add_string buf (Crc32.to_hex (Crc32.string endp));
-    Buffer.add_char buf ' ';
-    Buffer.add_string buf endp;
-    Buffer.add_char buf '\n';
-    Buffer.contents buf
+    write_sealed (codec kind) ?vfs ~path ~fields:("kind=" ^ kind) (List.map payload records)
 
-  let write ?(vfs = Vfs.passthrough) ~path ~kind records =
+  let load ?vfs ~kind path =
     check_kind kind;
-    Vfs.atomic_replace vfs ~path (render ~kind records)
-
-  let load ?(vfs = Vfs.passthrough) ~kind path =
-    check_kind kind;
-    match vfs.Vfs.read_file path with
-    | exception Vfs.Io_error { e_msg; _ } ->
-        Error [ Rt.v "RT001" (Srcspan.none path) "cannot read journal: %s" e_msg ]
-    | text -> (
-        let complete_last_line = String.length text > 0 && text.[String.length text - 1] = '\n' in
-        let lines =
-          match List.rev (String.split_on_char '\n' text) with
-          | "" :: rest when complete_last_line -> List.rev rest
-          | rev -> List.rev rev
-        in
-        match lines with
-        | [] -> Error [ Rt.v "RT002" (span path 1) "empty file is not a flowtrace journal" ]
-        | hdr :: records -> (
-            match
-              Scanf.sscanf hdr "flowtrace-log v%d kind=%s" (fun v k -> (v, k))
-            with
-            | exception _ ->
-                Error
-                  [ Rt.v "RT002" (span path 1) "not a flowtrace record log (unrecognized header)" ]
-            | v, _ when v <> version ->
-                Error
-                  [
-                    Rt.v "RT003" (span path 1)
-                      "record log version v%d is not supported (this build reads v%d)" v version;
-                  ]
-            | _, k when k <> kind ->
-                Error
-                  [
-                    Rt.v "RT002" (span path 1) "record log kind %S is not the expected %S" k kind;
-                  ]
-            | _ ->
-                let payloads = ref [] in
-                let seen = ref 0 in
-                let body_crc = ref (Crc32.update 0l (hdr ^ "\n")) in
-                let warnings = ref [] in
-                let error = ref None in
-                let ended = ref false in
-                let n_lines = List.length records in
-                (try
-                   List.iteri
-                     (fun i line ->
-                       let lineno = i + 2 in
-                       let last = i = n_lines - 1 in
-                       let fail d =
-                         error := Some d;
-                         raise Exit
-                       in
-                       let truncated () =
-                         warnings :=
-                           [
-                             Rt.v "RT006" (span path lineno)
-                               "record log tail truncated at line %d; recovering the valid \
-                                %d-record prefix"
-                               lineno !seen;
-                           ];
-                         raise Exit
-                       in
-                       if !ended then
-                         fail (Rt.v "RT007" (span path lineno) "content after the end record");
-                       let payload =
-                         if String.length line > 9 && line.[8] = ' ' then
-                           let crc = String.sub line 0 8 in
-                           let payload = String.sub line 9 (String.length line - 9) in
-                           if String.equal crc (Crc32.to_hex (Crc32.string payload)) then
-                             Some payload
-                           else None
-                         else None
-                       in
-                       match payload with
-                       | None ->
-                           if last then truncated ()
-                           else fail (Rt.v "RT005" (span path lineno) "corrupt record")
-                       | Some p when String.length p >= 2 && String.sub p 0 2 = "r " ->
-                           incr seen;
-                           body_crc := Crc32.update !body_crc (line ^ "\n");
-                           payloads := String.sub p 2 (String.length p - 2) :: !payloads
-                       | Some p -> (
-                           match String.split_on_char ' ' p with
-                           | [ "end"; count; crc ] -> (
-                               match int_of_string_opt count with
-                               | None ->
-                                   if last then truncated ()
-                                   else fail (Rt.v "RT005" (span path lineno) "corrupt record")
-                               | Some count ->
-                                   if count <> !seen then
-                                     fail
-                                       (Rt.v "RT007" (span path lineno)
-                                          "end record expects %d records but %d are present"
-                                          count !seen);
-                                   if not (String.equal crc (Crc32.to_hex !body_crc)) then
-                                     fail
-                                       (Rt.v "RT007" (span path lineno)
-                                          "whole-file checksum mismatch (log was modified)");
-                                   ended := true)
-                           | _ ->
-                               if last then truncated ()
-                               else fail (Rt.v "RT005" (span path lineno) "corrupt record")))
-                     records
-                 with Exit -> ());
-                (match !error with
-                | Some d -> Error [ d ]
-                | None ->
-                    if (not !ended) && !warnings = [] then
-                      warnings :=
-                        [
-                          Rt.v "RT006" (span path (n_lines + 1))
-                            "record log has no end record (truncated); recovering the valid \
-                             %d-record prefix"
-                            !seen;
-                        ];
-                    Ok (List.rev !payloads, !warnings))))
+    let* (), records, warnings = read_sealed (codec kind) ?vfs path in
+    Ok (List.map snd records, warnings)
 end

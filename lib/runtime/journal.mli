@@ -1,14 +1,31 @@
-(** The checkpoint journal: a crash-safe snapshot of a supervised
-    selection run.
+(** Crash-safe, CRC-sealed record files: one framing, two codecs.
 
-    A journal persists which plan tasks have completed, the running best
-    candidate (as sorted message names plus the IEEE-754 bits of its gain,
-    so resumption can verify a bit-exact re-score), and the cumulative
-    explored-candidate count. Snapshots are written whole to a temp file
-    and renamed into place, so the on-disk journal is always a complete,
-    self-consistent state no matter when the process is killed.
+    {b The framing.} Every file is a header line, one line per record,
+    and an [end] seal:
 
-    The format is line-oriented text, built for positioned diagnostics:
+    {v
+    <magic> v<version> <header fields>
+    <crc32> <payload>            (one line per record)
+    <crc32> end <record count> <crc32 of everything above>
+    v}
+
+    Each record line carries the CRC-32 of its payload (8 hex digits).
+    Files are rendered whole and written with {!Vfs.atomic_replace}, so
+    a [kill -9] at any byte leaves either the previous complete file or
+    the new one. One reader maps damage onto the RT codes of
+    {!Flowtrace_analysis.Rt}: unreadable file → RT001, foreign or bad
+    header → RT002, other version → RT003, a corrupt record mid-file →
+    RT005 (hard error), a failed [end] seal or content after it → RT007.
+    A {e missing or damaged tail} (the one shape external truncation
+    usually takes) recovers the valid record prefix with an RT006
+    warning. A codec only says how to parse its header fields and one
+    payload.
+
+    {b Codec 1: the checkpoint snapshot} ({!write}, {!load}) of a
+    supervised selection run: which plan tasks have completed, the
+    running best candidate (sorted message names plus the IEEE-754 bits
+    of its gain, so resumption can verify a bit-exact re-score) and the
+    cumulative explored-candidate count.
 
     {v
     flowtrace-journal v1 fp=<16 hex> tasks=<n>
@@ -25,16 +42,13 @@
     ([flowtrace select --delta-from]): together with the global best they
     seed {!Flowtrace_core.Select.reselect}'s branch-and-bound incumbent
     when the same journal is replayed against a modified scenario.
+    Resuming from a recovered prefix merely re-runs the tasks whose
+    completion records were lost.
 
-    Every record line is prefixed with the CRC-32 of its payload; the
-    [end] record seals the file with the record count and the CRC-32 of
-    everything above it. {!load} maps damage onto the RT codes of
-    {!Flowtrace_analysis.Rt}: unreadable file → RT001, bad header → RT002,
-    wrong version → RT003, a corrupt record mid-file → RT005 (hard error),
-    a failed [end] seal → RT007 — while a {e missing or damaged tail}
-    (the one shape external truncation usually takes) recovers the valid
-    prefix with an RT006 warning, because resuming from a prefix merely
-    re-runs the tasks whose completion records were lost. *)
+    {b Codec 2: the record log} ({!Log}): opaque newline-free payloads
+    under a [kind]-tagged header, [flowtrace-log v1 kind=<kind>], one
+    [r <payload>] record each. The service layer stores every debug
+    session through it. *)
 
 (** The persisted best candidate. [b_gain] is [Int64.bits_of_float] of the
     incremental gain, compared bit-for-bit after re-scoring on resume. *)
@@ -73,19 +87,7 @@ val load :
     Flowtrace_analysis.Diagnostic.t list )
   result
 
-(** The journal machinery as a generic storage engine: an opaque,
-    crash-safe, CRC-sealed record log.
-
-    Same on-disk discipline as the selection journal — atomic
-    temp-then-rename writes, a versioned [kind]-tagged header, CRC-32 per
-    record, a sealing end record over the whole body — but the payloads
-    are the caller's strings (anything newline-free). The service layer
-    stores every debug session through this: a [kill -9] at any byte
-    leaves either the previous complete file or the new complete file,
-    and {e external} damage maps onto the same RT codes ({!load} above):
-    a damaged or missing tail recovers the sealed record prefix with an
-    RT006 warning, mid-file corruption is a hard RT005, a lying end seal
-    RT007, a foreign or versioned-ahead file RT002/RT003. *)
+(** The record log codec: the caller's strings as records. *)
 module Log : sig
   (** [write ~path ~kind records] atomically replaces [path]. Raises
       [Invalid_argument] if [kind] contains whitespace or a record

@@ -25,7 +25,9 @@ type t
     every open session through {!Store} (and [resume] reloads the
     sessions found there with [Store.load_all ~repair:true]: stale temp
     files swept, recovered files compacted, corrupt files quarantined —
-    damage is contained per session, never daemon-wide). All store IO
+    damage is contained per session, never daemon-wide; a state dir that
+    cannot be listed is an RT011 diagnostic, and the daemon still
+    starts). All store IO
     goes through [vfs] (default {!Vfs.passthrough}); tests pass a
     {!Vfs.Fault} filesystem to drive ENOSPC and power cuts through the
     whole dispatcher. A failed session save does not kill the request:

@@ -1,19 +1,17 @@
-open Flowtrace_core
 module Diagnostic = Flowtrace_analysis.Diagnostic
 module Json = Flowtrace_analysis.Json
-module Rt = Flowtrace_analysis.Rt
 module Vfs = Flowtrace_runtime.Vfs
 
-type state = Intact | Recovered | Corrupt
+type state = Store.state = Intact | Recovered | Corrupt
 
-type entry = {
+type entry = Store.entry = {
   f_file : string;
   f_state : state;
-  f_session : string option;
+  f_session : Store.session option;
   f_diags : Diagnostic.t list;
 }
 
-type report = {
+type report = Store.report = {
   r_dir : string;
   r_entries : entry list;
   r_stale_tmp : string list;
@@ -27,98 +25,8 @@ let state_name = function
   | Recovered -> "recovered"
   | Corrupt -> "corrupt"
 
-let is_session_file f =
-  String.length f > String.length "session-.ckpt"
-  && String.starts_with ~prefix:"session-" f
-  && Filename.check_suffix f ".ckpt"
-
-let is_quarantine f = Filename.check_suffix f Store.quarantine_suffix
-
-let reason_of = function
-  | [] -> "unreadable"
-  | (d : Diagnostic.t) :: _ -> Printf.sprintf "%s: %s" d.Diagnostic.code d.Diagnostic.message
-
-let run ?(vfs = Vfs.passthrough) ~repair dir =
-  match vfs.Vfs.readdir dir with
-  | exception Vfs.Io_error { e_msg; _ } ->
-      {
-        r_dir = dir;
-        r_entries = [];
-        r_stale_tmp = [];
-        r_quarantined = [];
-        r_repaired = repair;
-        r_diags =
-          [
-            Rt.v "RT011"
-              (Flowtrace_core.Srcspan.none dir)
-              "cannot read state directory: %s" e_msg;
-          ];
-      }
-  | entries ->
-      let names = List.sort String.compare (Array.to_list entries) in
-      let stale = List.filter Vfs.is_tmp names in
-      let quarantined = List.filter is_quarantine names in
-      let stale_diags =
-        List.map
-          (fun f ->
-            Rt.v "RT009"
-              (Srcspan.none (Filename.concat dir f))
-              "stale temp file from an interrupted write%s"
-              (if repair then " swept" else ""))
-          stale
-      in
-      if repair then (try ignore (Vfs.sweep_tmp vfs ~dir) with Vfs.Io_error _ -> ());
-      let files = List.filter is_session_file names in
-      let entries =
-        List.map
-          (fun f ->
-            let path = Filename.concat dir f in
-            match Store.load ~vfs path with
-            | Ok (Some s, []) ->
-                { f_file = f; f_state = Intact; f_session = Some s.Store.se_id; f_diags = [] }
-            | Ok (Some s, warns) ->
-                let diags =
-                  if repair then (
-                    match Store.save ~vfs ~dir s with
-                    | () ->
-                        warns
-                        @ [
-                            Rt.v "RT010" (Srcspan.none path)
-                              "recovered session compacted (sealed file rewritten)";
-                          ]
-                    | exception Vfs.Io_error { e_msg; _ } ->
-                        warns
-                        @ [
-                            Rt.v "RT001" (Srcspan.none path)
-                              "cannot compact recovered session: %s" e_msg;
-                          ])
-                  else warns
-                in
-                { f_file = f; f_state = Recovered; f_session = Some s.Store.se_id; f_diags = diags }
-            | Ok (None, warns) ->
-                let diags =
-                  if repair then [ Store.quarantine ~vfs ~reason:(reason_of warns) path ]
-                  else warns
-                in
-                { f_file = f; f_state = Corrupt; f_session = None; f_diags = diags }
-            | Error ds ->
-                let diags =
-                  if repair then [ Store.quarantine ~vfs ~reason:(reason_of ds) path ] else ds
-                in
-                { f_file = f; f_state = Corrupt; f_session = None; f_diags = diags })
-          files
-      in
-      {
-        r_dir = dir;
-        r_entries = entries;
-        r_stale_tmp = stale;
-        r_quarantined = quarantined;
-        r_repaired = repair;
-        r_diags = stale_diags @ List.concat_map (fun e -> e.f_diags) entries;
-      }
-
-let scan ?vfs dir = run ?vfs ~repair:false dir
-let repair ?vfs dir = run ?vfs ~repair:true dir
+let scan ?vfs dir = Store.check ?vfs ~repair:false dir
+let repair ?vfs dir = Store.check ?vfs ~repair:true dir
 
 let exit_code r =
   let degraded = List.exists (fun e -> e.f_state <> Intact) r.r_entries in
@@ -153,7 +61,9 @@ let to_json r =
                    ("file", Json.String e.f_file);
                    ("state", Json.String (state_name e.f_state));
                    ( "session",
-                     match e.f_session with Some id -> Json.String id | None -> Json.Null );
+                     match e.f_session with
+                     | Some s -> Json.String s.Store.se_id
+                     | None -> Json.Null );
                  ])
              r.r_entries) );
       ("stale_tmp", Json.List (List.map (fun f -> Json.String f) r.r_stale_tmp));

@@ -1,13 +1,13 @@
 (** Offline integrity checking and repair for a daemon state directory —
     the engine behind [flowtrace fsck].
 
-    {!scan} classifies every [session-*.ckpt] file without touching the
-    disk; {!repair} additionally heals what can be proven safe: stale
-    [*.tmp] files from interrupted writes are swept, sessions recovered
-    from a damaged tail are compacted back to sealed files, and files
-    whose session body is lost are quarantined as [*.quarantine] so they
-    stop failing every resume. Nothing is ever deleted that could still
-    carry evidence — quarantine is a rename, not an unlink.
+    {!scan} and {!repair} run {!Store.check}, the same walk the daemon's
+    [--resume] runs, read-only or healing; this module only renders its
+    report. So an offline [fsck --repair] and a daemon restart leave the
+    same store behind: stale [*.tmp] files swept, recovered sessions
+    compacted, corrupt files quarantined as [*.quarantine]. Nothing is
+    ever deleted that could still carry evidence — quarantine is a
+    rename, not an unlink.
 
     Diagnostics use the RT namespace ({!Flowtrace_analysis.Rt}) and
     {!exit_code} follows the shared convention: [1] when hard damage is
@@ -18,36 +18,31 @@ module Diagnostic = Flowtrace_analysis.Diagnostic
 module Json = Flowtrace_analysis.Json
 module Vfs = Flowtrace_runtime.Vfs
 
-type state =
-  | Intact  (** sealed file, loads clean *)
-  | Recovered
-      (** damaged tail but the session body is whole; compaction rewrites
-          it sealed *)
-  | Corrupt  (** the session cannot be (fully) read; quarantine target *)
+type state = Store.state = Intact | Recovered | Corrupt
 
-type entry = {
-  f_file : string;  (** basename *)
+type entry = Store.entry = {
+  f_file : string;
   f_state : state;
-  f_session : string option;  (** session id when the body was readable *)
+  f_session : Store.session option;
   f_diags : Diagnostic.t list;
 }
 
-type report = {
+type report = Store.report = {
   r_dir : string;
-  r_entries : entry list;  (** sorted by file name *)
-  r_stale_tmp : string list;  (** found (scan) or swept (repair) *)
-  r_quarantined : string list;  (** pre-existing [*.quarantine] files *)
-  r_repaired : bool;  (** this report came from {!repair} *)
+  r_entries : entry list;
+  r_stale_tmp : string list;
+  r_quarantined : string list;
+  r_repaired : bool;
   r_diags : Diagnostic.t list;
 }
 
-(** Read-only classification of [dir]. An unreadable directory yields a
-    report whose diagnostics carry RT011. *)
+(** Read-only classification of [dir]: [Store.check ~repair:false]. An
+    unreadable directory yields a report whose diagnostics carry
+    RT011. *)
 val scan : ?vfs:Vfs.t -> string -> report
 
-(** {!scan} plus healing: sweep stale temp files (RT009, counted in the
-    [runtime.vfs.stale_tmp] telemetry counter), compact recovered
-    sessions (RT010), quarantine corrupt files (RT008). After a
+(** [Store.check ~repair:true]: sweep stale temp files (RT009), compact
+    recovered sessions (RT010), quarantine corrupt files (RT008). After a
     successful repair a following {!scan} is clean. *)
 val repair : ?vfs:Vfs.t -> string -> report
 

@@ -56,8 +56,9 @@ let indexed_of_tokens tokens =
     | None -> raise_notrace (Bad_token tok)
     | Some i -> (
         match int_of_string_opt (String.sub tok 0 i) with
-        | Some inst -> Indexed.make (String.sub tok (i + 1) (String.length tok - i - 1)) inst
-        | None -> raise_notrace (Bad_token tok))
+        | Some inst when inst >= 0 ->
+            Indexed.make (String.sub tok (i + 1) (String.length tok - i - 1)) inst
+        | _ -> raise_notrace (Bad_token tok))
   in
   try Ok (List.filter_map (fun tok -> if tok = "" then None else Some (parse tok)) tokens)
   with Bad_token tok ->

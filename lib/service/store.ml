@@ -163,54 +163,77 @@ let reason_of = function
   | [] -> "unreadable"
   | (d : Diagnostic.t) :: _ -> Printf.sprintf "%s: %s" d.Diagnostic.code d.Diagnostic.message
 
-let load_all ?(vfs = Vfs.passthrough) ?(repair = false) dir =
-  let entries = match vfs.Vfs.readdir dir with exception Vfs.Io_error _ -> [||] | e -> e in
-  let swept =
-    if repair then
-      match Vfs.sweep_tmp vfs ~dir with exception Vfs.Io_error _ -> [] | swept -> swept
-    else List.sort String.compare (List.filter Vfs.is_tmp (Array.to_list entries))
+type state = Intact | Recovered | Corrupt
+
+type entry = {
+  f_file : string;
+  f_state : state;
+  f_session : session option;
+  f_diags : Diagnostic.t list;
+}
+
+type report = {
+  r_dir : string;
+  r_entries : entry list;
+  r_stale_tmp : string list;
+  r_quarantined : string list;
+  r_repaired : bool;
+  r_diags : Diagnostic.t list;
+}
+
+let check_file ~vfs ~repair ~dir f =
+  let path = Filename.concat dir f in
+  match load ~vfs path with
+  | Ok (Some s, []) -> { f_file = f; f_state = Intact; f_session = Some s; f_diags = [] }
+  | Ok (Some s, warns) ->
+      (* recovered with a damaged tail but the body is whole: compact it
+         back to a sealed file so the damage does not compound *)
+      let compacted =
+        if not repair then []
+        else
+          match save ~vfs ~dir s with
+          | () ->
+              [ Rt.v "RT010" (Srcspan.none path) "recovered session compacted (sealed file rewritten)" ]
+          | exception Vfs.Io_error { e_msg; _ } ->
+              [ Rt.v "RT001" (Srcspan.none path) "cannot compact recovered session: %s" e_msg ]
+      in
+      { f_file = f; f_state = Recovered; f_session = Some s; f_diags = warns @ compacted }
+  | Ok (None, diags) | Error diags ->
+      (* the session body is gone: the file is damage with no value *)
+      let diags = if repair then [ quarantine ~vfs ~reason:(reason_of diags) path ] else diags in
+      { f_file = f; f_state = Corrupt; f_session = None; f_diags = diags }
+
+let check ?(vfs = Vfs.passthrough) ~repair dir =
+  let entries, stale, quarantined, dir_diags =
+    match vfs.Vfs.readdir dir with
+    | exception Vfs.Io_error { e_msg; _ } ->
+        ([], [], [], [ Rt.v "RT011" (Srcspan.none dir) "cannot read state directory: %s" e_msg ])
+    | names ->
+        let names = List.sort String.compare (Array.to_list names) in
+        let stale =
+          if repair then try Vfs.sweep_tmp vfs ~dir with Vfs.Io_error _ -> []
+          else List.filter Vfs.is_tmp names
+        in
+        ( List.map (check_file ~vfs ~repair ~dir) (List.filter is_session_file names),
+          stale,
+          List.filter (fun f -> Filename.check_suffix f quarantine_suffix) names,
+          List.map
+            (fun f ->
+              Rt.v "RT009"
+                (Srcspan.none (Filename.concat dir f))
+                "stale temp file from an interrupted write%s"
+                (if repair then " swept" else ""))
+            stale )
   in
-  let tmp_diags =
-    List.map
-      (fun f ->
-        Rt.v "RT009"
-          (Srcspan.none (Filename.concat dir f))
-          "stale temp file from an interrupted write%s"
-          (if repair then " swept" else ""))
-      swept
-  in
-  let files = Array.of_list (List.filter is_session_file (Array.to_list entries)) in
-  Array.sort String.compare files;
-  Array.fold_left
-    (fun (sessions, diags) f ->
-      let path = Filename.concat dir f in
-      match load ~vfs path with
-      | Ok (Some s, []) -> (sessions @ [ s ], diags)
-      | Ok (Some s, warns) ->
-          (* recovered with a damaged tail but the body is whole: compact
-             it back to a sealed file so the damage does not compound *)
-          if repair then (
-            match save ~vfs ~dir s with
-            | () ->
-                ( sessions @ [ s ],
-                  diags @ warns
-                  @ [
-                      Rt.v "RT010" (Srcspan.none path)
-                        "recovered session compacted (sealed file rewritten)";
-                    ] )
-            | exception Vfs.Io_error { e_msg; _ } ->
-                ( sessions @ [ s ],
-                  diags @ warns
-                  @ [
-                      Rt.v "RT001" (Srcspan.none path)
-                        "cannot compact recovered session: %s" e_msg;
-                    ] ))
-          else (sessions @ [ s ], diags @ warns)
-      | Ok (None, warns) ->
-          (* the session body is gone: the file is damage with no value *)
-          if repair then (sessions, diags @ [ quarantine ~vfs ~reason:(reason_of warns) path ])
-          else (sessions, diags @ warns)
-      | Error ds ->
-          if repair then (sessions, diags @ [ quarantine ~vfs ~reason:(reason_of ds) path ])
-          else (sessions, diags @ ds))
-    ([], tmp_diags) files
+  {
+    r_dir = dir;
+    r_entries = entries;
+    r_stale_tmp = stale;
+    r_quarantined = quarantined;
+    r_repaired = repair;
+    r_diags = dir_diags @ List.concat_map (fun e -> e.f_diags) entries;
+  }
+
+let load_all ?vfs ?(repair = false) dir =
+  let r = check ?vfs ~repair dir in
+  (List.filter_map (fun e -> e.f_session) r.r_entries, r.r_diags)

@@ -11,7 +11,11 @@
     The spec text is stored as the {e last} record of the file (newlines
     escaped), so external tail damage — the one shape torn writes take —
     loses the spec record first: {!load} then reports the file as damaged
-    and the session is dropped cleanly instead of resurrected half-built. *)
+    and the session is dropped cleanly instead of resurrected half-built.
+
+    {!check} is the one walk over a state directory: daemon resume
+    ({!load_all}) and [flowtrace fsck] ({!Fsck}) both run it, so they
+    cannot disagree about a file. *)
 
 open Flowtrace_core
 module Diagnostic = Flowtrace_analysis.Diagnostic
@@ -62,17 +66,47 @@ val quarantine_suffix : string
     a failed rename is reported inside the diagnostic. *)
 val quarantine : ?vfs:Vfs.t -> reason:string -> string -> Diagnostic.t
 
-(** [load_all dir] loads every [session-*.ckpt] under [dir] in sorted
-    file order, collecting diagnostics for files that were damaged or
-    dropped; stale [*.tmp] files are reported with RT009. A missing
-    directory is an empty store.
+(** How {!check} found one [session-*.ckpt] file. *)
+type state =
+  | Intact  (** sealed file, loads clean *)
+  | Recovered
+      (** damaged tail but the session body is whole; compaction rewrites
+          it sealed *)
+  | Corrupt  (** the session cannot be (fully) read; quarantine target *)
 
-    With [~repair:true] (the daemon's [--resume] path and
-    [flowtrace fsck --repair]) the store is also healed: stale temp
-    files are swept (counted in the [runtime.vfs.stale_tmp] telemetry
-    counter), sessions recovered from a damaged tail are compacted back
-    to sealed files (RT010), and files whose session body is lost are
-    quarantined (RT008) instead of left to fail again — damage is
-    contained per session, never daemon-wide. *)
+type entry = {
+  f_file : string;  (** basename *)
+  f_state : state;
+  f_session : session option;  (** the session when its body was readable *)
+  f_diags : Diagnostic.t list;
+}
+
+type report = {
+  r_dir : string;
+  r_entries : entry list;  (** sorted by file name *)
+  r_stale_tmp : string list;  (** found (scan) or swept (repair) *)
+  r_quarantined : string list;  (** pre-existing [*.quarantine] files *)
+  r_repaired : bool;  (** this report came from [~repair:true] *)
+  r_diags : Diagnostic.t list;
+      (** RT009 for stale temp files, then each entry's diagnostics in
+          file order; RT011 alone when [dir] cannot be listed *)
+}
+
+(** [check ~repair dir] is the one walk over a state directory: it
+    classifies every [session-*.ckpt] under [dir] in sorted file order
+    and reports stale [*.tmp] files (RT009). An unreadable or missing
+    directory yields no entries and an RT011 error.
+
+    With [~repair:true] the store is also healed: stale temp files are
+    swept (counted in the [runtime.vfs.stale_tmp] telemetry counter),
+    recovered sessions are compacted back to sealed files (RT010, or
+    RT001 when the rewrite fails), and corrupt files are quarantined
+    (RT008) instead of left to fail again — damage is contained per
+    session, never daemon-wide. Without it nothing on disk changes. *)
+val check : ?vfs:Vfs.t -> repair:bool -> string -> report
+
+(** [load_all dir] is {!check}'s sessions and diagnostics; [repair]
+    defaults to [false]. The daemon's [--resume] runs it with
+    [~repair:true]. *)
 val load_all :
   ?vfs:Vfs.t -> ?repair:bool -> string -> session list * Diagnostic.t list

@@ -31,54 +31,54 @@ let equal (a : t) (b : t) = a = b
 (* --- JSON encoding -------------------------------------------------- *)
 
 let value_to_json = function
-  | Int i -> Tjson.Int i
-  | Float f -> Tjson.Float f
-  | Str s -> Tjson.String s
-  | Bool b -> Tjson.Bool b
+  | Int i -> Json.Int i
+  | Float f -> Json.Float f
+  | Str s -> Json.String s
+  | Bool b -> Json.Bool b
 
-let args_to_json args = Tjson.Obj (List.map (fun (k, v) -> (k, value_to_json v)) args)
+let args_to_json args = Json.Obj (List.map (fun (k, v) -> (k, value_to_json v)) args)
 
 let to_json = function
-  | Meta kvs -> Tjson.Obj [ ("type", Tjson.String "meta"); ("args", args_to_json kvs) ]
+  | Meta kvs -> Json.Obj [ ("type", Json.String "meta"); ("args", args_to_json kvs) ]
   | Span s ->
-      Tjson.Obj
-        ([ ("type", Tjson.String "span"); ("name", Tjson.String s.sp_name);
-           ("id", Tjson.Int s.sp_id) ]
-        @ (match s.sp_parent with Some p -> [ ("parent", Tjson.Int p) ] | None -> [])
+      Json.Obj
+        ([ ("type", Json.String "span"); ("name", Json.String s.sp_name);
+           ("id", Json.Int s.sp_id) ]
+        @ (match s.sp_parent with Some p -> [ ("parent", Json.Int p) ] | None -> [])
         @ [
-            ("domain", Tjson.Int s.sp_domain);
-            ("start_us", Tjson.Float s.sp_start_us);
-            ("dur_us", Tjson.Float s.sp_dur_us);
+            ("domain", Json.Int s.sp_domain);
+            ("start_us", Json.Float s.sp_start_us);
+            ("dur_us", Json.Float s.sp_dur_us);
             ("args", args_to_json s.sp_args);
           ])
   | Metric (Counter c) ->
-      Tjson.Obj
-        [ ("type", Tjson.String "counter"); ("name", Tjson.String c.c_name);
-          ("value", Tjson.Int c.c_value) ]
+      Json.Obj
+        [ ("type", Json.String "counter"); ("name", Json.String c.c_name);
+          ("value", Json.Int c.c_value) ]
   | Metric (Gauge g) ->
-      Tjson.Obj
-        [ ("type", Tjson.String "gauge"); ("name", Tjson.String g.g_name);
-          ("value", Tjson.Float g.g_value) ]
+      Json.Obj
+        [ ("type", Json.String "gauge"); ("name", Json.String g.g_name);
+          ("value", Json.Float g.g_value) ]
   | Metric (Histogram h) ->
-      Tjson.Obj
+      Json.Obj
         [
-          ("type", Tjson.String "histogram"); ("name", Tjson.String h.h_name);
-          ("count", Tjson.Int h.h_count); ("sum", Tjson.Float h.h_sum);
-          ("min", Tjson.Float h.h_min); ("max", Tjson.Float h.h_max);
+          ("type", Json.String "histogram"); ("name", Json.String h.h_name);
+          ("count", Json.Int h.h_count); ("sum", Json.Float h.h_sum);
+          ("min", Json.Float h.h_min); ("max", Json.Float h.h_max);
         ]
 
 (* --- JSON decoding -------------------------------------------------- *)
 
 let value_of_json = function
-  | Tjson.Int i -> Some (Int i)
-  | Tjson.Float f -> Some (Float f)
-  | Tjson.String s -> Some (Str s)
-  | Tjson.Bool b -> Some (Bool b)
+  | Json.Int i -> Some (Int i)
+  | Json.Float f -> Some (Float f)
+  | Json.String s -> Some (Str s)
+  | Json.Bool b -> Some (Bool b)
   | _ -> None
 
 let args_of_json j =
   match j with
-  | Some (Tjson.Obj kvs) ->
+  | Some (Json.Obj kvs) ->
       let rec go acc = function
         | [] -> Some (List.rev acc)
         | (k, v) :: rest -> (
@@ -89,14 +89,14 @@ let args_of_json j =
   | Some _ -> None
 
 let of_json j =
-  let str key = Option.bind (Tjson.member key j) Tjson.to_string_opt in
-  let int key = Option.bind (Tjson.member key j) Tjson.to_int_opt in
-  let flt key = Option.bind (Tjson.member key j) Tjson.to_float_opt in
+  let str key = Option.bind (Json.member key j) Json.to_string_opt in
+  let int key = Option.bind (Json.member key j) Json.to_int_opt in
+  let flt key = Option.bind (Json.member key j) Json.to_float_opt in
   let require what = function Some v -> Ok v | None -> Error ("missing or ill-typed " ^ what) in
   let ( let* ) = Result.bind in
   match str "type" with
   | Some "meta" -> (
-      match args_of_json (Tjson.member "args" j) with
+      match args_of_json (Json.member "args" j) with
       | Some kvs -> Ok (Meta kvs)
       | None -> Error "meta: bad args")
   | Some "span" ->
@@ -106,7 +106,7 @@ let of_json j =
       let* start_us = require "start_us" (flt "start_us") in
       let* dur_us = require "dur_us" (flt "dur_us") in
       let* args =
-        match args_of_json (Tjson.member "args" j) with
+        match args_of_json (Json.member "args" j) with
         | Some a -> Ok a
         | None -> Error "span: bad args"
       in

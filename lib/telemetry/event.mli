@@ -49,12 +49,12 @@ val metric_name : metric -> string
 val equal : t -> t -> bool
 
 (** [value_to_json v] is the JSON leaf for one argument value. *)
-val value_to_json : value -> Tjson.t
+val value_to_json : value -> Json.t
 
 (** [to_json e] is the canonical JSON object: a ["type"] discriminator
     ([meta]/[span]/[counter]/[gauge]/[histogram]) plus the fields above.
     One such object per line is the JSONL sink format. *)
-val to_json : t -> Tjson.t
+val to_json : t -> Json.t
 
 (** [of_json j] inverts {!to_json}. [of_json (to_json e) = Ok e]. *)
-val of_json : Tjson.t -> (t, string) result
+val of_json : Json.t -> (t, string) result

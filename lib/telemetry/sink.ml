@@ -50,7 +50,7 @@ let jsonl oc =
   let mu = Mutex.create () in
   let emit ev =
     Mutex.protect mu @@ fun () ->
-    output_string oc (Tjson.to_string (Event.to_json ev));
+    output_string oc (Json.to_string (Event.to_json ev));
     output_char oc '\n'
   in
   { emit; close = (fun () -> flush oc) }
@@ -71,13 +71,13 @@ let chrome oc =
       first := false
     end
     else output_string oc ",\n";
-    output_string oc (Tjson.to_string j)
+    output_string oc (Json.to_string j)
   in
   let counter_sample name args =
-    Tjson.Obj
+    Json.Obj
       [
-        ("name", Tjson.String name); ("ph", Tjson.String "C"); ("ts", Tjson.Float !last_ts);
-        ("pid", Tjson.Int 1); ("tid", Tjson.Int 0); ("args", Tjson.Obj args);
+        ("name", Json.String name); ("ph", Json.String "C"); ("ts", Json.Float !last_ts);
+        ("pid", Json.Int 1); ("tid", Json.Int 0); ("args", Json.Obj args);
       ]
   in
   let emit ev =
@@ -85,43 +85,43 @@ let chrome oc =
     match ev with
     | Event.Meta kvs ->
         emit_json
-          (Tjson.Obj
+          (Json.Obj
              [
-               ("name", Tjson.String "process_name"); ("ph", Tjson.String "M");
-               ("pid", Tjson.Int 1); ("tid", Tjson.Int 0);
+               ("name", Json.String "process_name"); ("ph", Json.String "M");
+               ("pid", Json.Int 1); ("tid", Json.Int 0);
                ( "args",
-                 Tjson.Obj
-                   (("name", Tjson.String "flowtrace")
+                 Json.Obj
+                   (("name", Json.String "flowtrace")
                    :: List.map (fun (k, v) -> (k, Event.value_to_json v)) kvs) );
              ])
     | Event.Span s ->
         last_ts := Float.max !last_ts (s.Event.sp_start_us +. s.Event.sp_dur_us);
         let id_args =
-          ("span_id", Tjson.Int s.Event.sp_id)
+          ("span_id", Json.Int s.Event.sp_id)
           :: (match s.Event.sp_parent with
-             | Some p -> [ ("parent_id", Tjson.Int p) ]
+             | Some p -> [ ("parent_id", Json.Int p) ]
              | None -> [])
           @ List.map (fun (k, v) -> (k, Event.value_to_json v)) s.Event.sp_args
         in
         emit_json
-          (Tjson.Obj
+          (Json.Obj
              [
-               ("name", Tjson.String s.Event.sp_name); ("cat", Tjson.String "flowtrace");
-               ("ph", Tjson.String "X"); ("ts", Tjson.Float s.Event.sp_start_us);
-               ("dur", Tjson.Float s.Event.sp_dur_us); ("pid", Tjson.Int 1);
-               ("tid", Tjson.Int s.Event.sp_domain); ("args", Tjson.Obj id_args);
+               ("name", Json.String s.Event.sp_name); ("cat", Json.String "flowtrace");
+               ("ph", Json.String "X"); ("ts", Json.Float s.Event.sp_start_us);
+               ("dur", Json.Float s.Event.sp_dur_us); ("pid", Json.Int 1);
+               ("tid", Json.Int s.Event.sp_domain); ("args", Json.Obj id_args);
              ])
     | Event.Metric (Event.Counter c) ->
-        emit_json (counter_sample c.Event.c_name [ ("value", Tjson.Int c.Event.c_value) ])
+        emit_json (counter_sample c.Event.c_name [ ("value", Json.Int c.Event.c_value) ])
     | Event.Metric (Event.Gauge g) ->
-        emit_json (counter_sample g.Event.g_name [ ("value", Tjson.Float g.Event.g_value) ])
+        emit_json (counter_sample g.Event.g_name [ ("value", Json.Float g.Event.g_value) ])
     | Event.Metric (Event.Histogram h) ->
         let mean =
           if h.Event.h_count = 0 then 0.0 else h.Event.h_sum /. float_of_int h.Event.h_count
         in
         emit_json
           (counter_sample h.Event.h_name
-             [ ("count", Tjson.Int h.Event.h_count); ("mean", Tjson.Float mean) ])
+             [ ("count", Json.Int h.Event.h_count); ("mean", Json.Float mean) ])
   in
   let close () =
     Mutex.protect mu @@ fun () ->

@@ -83,7 +83,7 @@ let load_jsonl path =
                     record with a .jsonl path to get a replayable stream"
                    path)
             else
-              match Tjson.parse trimmed with
+              match Json.parse trimmed with
               | Error m -> Error (Printf.sprintf "%s:%d: %s" path lineno m)
               | Ok j -> (
                   match Event.of_json j with

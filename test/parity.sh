@@ -111,6 +111,8 @@ cli_rejects "select width 0" select "$SPEC" -w 0
 daemon_rejects "select width 0" '{"op":"select","session":"sc1","width":0}'
 cli_rejects "localize width 0" localize "$SPEC" "1:piordreq" -w 0
 daemon_rejects "localize width 0" '{"op":"localize","session":"sc1","trace":["1:piordreq"],"width":0}'
+cli_rejects "negative instance index" localize "$SPEC" -- "-1:piordreq"
+daemon_rejects "negative instance index" '{"op":"localize","session":"sc1","trace":["-1:piordreq"]}'
 
 call '{"op":"shutdown"}' > /dev/null
 wait $PID || fail "daemon did not exit cleanly"

@@ -675,6 +675,57 @@ let test_log_truncation_exhaustive () =
   | Error ds -> Alcotest.(check bool) "RT005" true (List.mem "RT005" (codes ds))
   | Ok _ -> Alcotest.fail "bit-flipped log loaded"
 
+(* ------------------------------------------------------------------ *)
+(* Format stability: files an earlier build wrote under corpus/ load
+   clean and re-render byte for byte *)
+
+let corpus_dir =
+  (* dune copies corpus/ next to the test's cwd; from the repository
+     root it is test/corpus *)
+  match List.find_opt Sys.file_exists [ "corpus"; Filename.concat "test" "corpus" ] with
+  | Some d -> d
+  | None -> Alcotest.fail "test corpus directory not found"
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_fixture_checkpoints () =
+  List.iter
+    (fun name ->
+      let path = Filename.concat corpus_dir name in
+      match Journal.load path with
+      | Error ds -> Alcotest.fail (Diag.render_all ds)
+      | Ok (snap, warnings) ->
+          Alcotest.(check (list string)) (name ^ " loads clean") [] (codes warnings);
+          let out = tmp_journal () in
+          Journal.write ~path:out snap;
+          Alcotest.(check string) (name ^ " re-renders byte for byte") (read_file path)
+            (read_file out))
+    [ "t2-w32.ckpt"; "t2-w32-partial.ckpt" ]
+
+let test_fixture_sessions () =
+  let module Store = Flowtrace_service.Store in
+  let dir = Filename.concat corpus_dir "state" in
+  let out = Filename.temp_file "flowtrace-fixture" "" in
+  Sys.remove out;
+  Sys.mkdir out 0o700;
+  Fun.protect ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat out f)) (Sys.readdir out);
+      Sys.rmdir out)
+  @@ fun () ->
+  let sessions, diags = Store.load_all dir in
+  Alcotest.(check (list string)) "state dir loads clean" [] (codes diags);
+  Alcotest.(check (list string))
+    "both sessions" [ "sc1"; "tiny" ]
+    (List.map (fun s -> s.Store.se_id) sessions);
+  List.iter
+    (fun s ->
+      Store.save ~dir:out s;
+      let id = s.Store.se_id in
+      Alcotest.(check string) (id ^ " re-renders byte for byte")
+        (read_file (Store.file_of ~dir id))
+        (read_file (Store.file_of ~dir:out id)))
+    sessions
+
 let test_sample_zero_rejected () =
   let inter = Scenario.interleave (List.hd Scenario.all) in
   let sel = Select.select ~strategy:Select.Greedy inter ~buffer_width:16 in
@@ -711,6 +762,13 @@ let () =
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_journal_roundtrip; prop_journal_truncation_recovers ] );
+      ( "fixtures",
+        [
+          Alcotest.test_case "earlier-build checkpoints re-render" `Quick
+            test_fixture_checkpoints;
+          Alcotest.test_case "earlier-build session files re-render" `Quick
+            test_fixture_sessions;
+        ] );
       ( "backoff",
         [
           Alcotest.test_case "delay is pure in (seed, task, attempt)" `Quick

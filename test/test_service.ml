@@ -481,6 +481,41 @@ let test_dispatch_unknown_flow_in_counts () =
     "as RT005" [ "RT005" ]
     (List.map (fun (d : Dispatch.Diagnostic.t) -> d.Dispatch.Diagnostic.code) diags)
 
+(* A negative instance index in a trace token is bad input, refused like
+   any malformed token, not an exception retried to "request failed". *)
+let test_dispatch_negative_instance_index () =
+  let t, _ = Dispatch.create () in
+  ignore (handle t (open_req ()));
+  let resp =
+    handle t
+      (req
+         [
+           ("op", Json.String "localize");
+           ("session", Json.String "a");
+           ("trace", Json.List [ Json.String "1:m1"; Json.String "-1:m2" ]);
+         ])
+  in
+  check_status ~what:"negative index" ~status:"error" ~exit:1 resp;
+  Alcotest.(check string)
+    "names the token" {|bad indexed message "-1:m2" (want IDX:NAME)|} (str_field "error" resp)
+
+(* A state dir that cannot be listed (here a regular file, which fails
+   readdir even for root) is reported on resume with the RT011 that fsck
+   gives, and the daemon still starts. *)
+let test_dispatch_resume_unreadable_dir () =
+  with_tmpdir @@ fun dir ->
+  let file = Filename.concat dir "not-a-dir" in
+  Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc "x");
+  let t, diags = Dispatch.create ~state_dir:file ~resume:true () in
+  Alcotest.(check (list string))
+    "RT011" [ "RT011" ]
+    (List.map (fun (d : Dispatch.Diagnostic.t) -> d.Dispatch.Diagnostic.code) diags);
+  Alcotest.(check bool) "same diagnostic as fsck" true (diags = (Fsck.scan file).Fsck.r_diags);
+  check_status ~what:"ping after resume" ~status:"ok" ~exit:0 (handle t {|{"op":"ping"}|});
+  Alcotest.(check bool)
+    "still serves sessions" true
+    (str_field "status" (handle t (open_req ())) <> "error")
+
 (* MN002 (an error) always arrives with MN090 (degraded): errors win, as
    in the CLI's exit code, so the daemon answers "error", not
    "degraded". *)
@@ -545,5 +580,9 @@ let () =
             test_dispatch_unknown_flow_in_counts;
           Alcotest.test_case "mine status: errors win over degraded" `Quick
             test_mine_status_errors_win;
+          Alcotest.test_case "a negative instance index is refused" `Quick
+            test_dispatch_negative_instance_index;
+          Alcotest.test_case "an unreadable state dir resumes with RT011" `Quick
+            test_dispatch_resume_unreadable_dir;
         ] );
     ]

@@ -17,7 +17,7 @@ module Tel = Flowtrace_telemetry.Telemetry
 module Event = Flowtrace_telemetry.Event
 module Sink = Flowtrace_telemetry.Sink
 module Summary = Flowtrace_telemetry.Summary
-module Tjson = Flowtrace_telemetry.Tjson
+module Json = Flowtrace_telemetry.Json
 
 let sample_events =
   [
@@ -63,6 +63,34 @@ let test_json_roundtrip () =
       | Error m -> Alcotest.fail m)
     sample_events
 
+(* Every finite float prints with a '.' or an exponent, so it parses
+   back as the same Float: integral floats in [1e16, 1e17) used to print
+   as bare digits and come back as Int. Checked through the name the
+   protocol and the diagnostics use. *)
+let prop_json_float_roundtrip =
+  let module J = Flowtrace_analysis.Json in
+  let roundtrips f =
+    match J.parse (J.to_string (J.List [ J.Float f; J.Obj [ ("f", J.Float f) ] ])) with
+    | Ok (J.List [ J.Float a; J.Obj [ ("f", J.Float b) ] ]) ->
+        Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float f)
+        && Int64.equal (Int64.bits_of_float b) (Int64.bits_of_float f)
+    | _ -> false
+  in
+  let floats =
+    QCheck.(
+      oneof
+        [
+          map Int64.float_of_bits int64;
+          (* integral floats in [1e16, 1.8e16), where the spacing is 2 *)
+          map (fun k -> 1e16 +. (2. *. float_of_int k)) (int_bound 4_000_000_000);
+          map float_of_int int;
+          oneofl [ 0.; -0.; 1e16; 9.999999999999998e16; 1e17; 5e-324; Float.max_float ];
+        ])
+  in
+  QCheck.Test.make ~name:"JSON floats round-trip as floats" ~count:2000 floats (fun f ->
+      QCheck.assume (Float.is_finite f);
+      roundtrips f)
+
 let test_jsonl_file_roundtrip () =
   let path = Filename.temp_file "flowtrace_tel" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
@@ -89,14 +117,14 @@ let test_chrome_is_json_array () =
   let n = in_channel_length ic in
   let body = really_input_string ic n in
   close_in ic;
-  match Tjson.parse body with
+  match Json.parse body with
   | Error m -> Alcotest.fail ("chrome output is not JSON: " ^ m)
-  | Ok (Tjson.List entries) ->
+  | Ok (Json.List entries) ->
       Alcotest.(check bool) "non-empty" true (entries <> []);
       List.iter
         (fun e ->
-          match Tjson.member "ph" e with
-          | Some (Tjson.String _) -> ()
+          match Json.member "ph" e with
+          | Some (Json.String _) -> ()
           | _ -> Alcotest.fail "trace_event entry lacks a \"ph\" phase")
         entries;
       (* a JSONL reader must reject this format with the helpful hint *)
@@ -248,6 +276,7 @@ let () =
       ( "encoding",
         [
           Alcotest.test_case "event JSON round-trip" `Quick test_json_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_float_roundtrip;
           Alcotest.test_case "JSONL file round-trip" `Quick test_jsonl_file_roundtrip;
           Alcotest.test_case "chrome sink emits a JSON array" `Quick test_chrome_is_json_array;
         ] );

@@ -24,9 +24,17 @@ let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
 
 let compare_severity a b = Int.compare (severity_rank a) (severity_rank b)
 
+(* The last tie-break is the flow: two flows can raise the same code with
+   the same message at the same span (a scenario-level span), and those
+   are two diagnostics, not one. *)
+let compare_flow a b = Option.compare String.compare a.flow b.flow
+
 let compare a b =
   match Srcspan.compare a.span b.span with
-  | 0 -> ( match String.compare a.code b.code with 0 -> String.compare a.message b.message | c -> c)
+  | 0 -> (
+      match String.compare a.code b.code with
+      | 0 -> ( match String.compare a.message b.message with 0 -> compare_flow a b | c -> c)
+      | c -> c)
   | c -> c
 
 let equal a b =
@@ -35,15 +43,15 @@ let equal a b =
   && String.equal a.message b.message
 
 (* Report order: position, then severity (most severe first), then code,
-   then message — shared by every namespace (FL/FC/RT) so text and --json
-   output are deterministic and diffable across runs. *)
+   then message, then flow — shared by every namespace (FL/FC/RT) so text
+   and --json output are deterministic and diffable across runs. *)
 let compare_report a b =
   match Srcspan.compare a.span b.span with
   | 0 -> (
       match compare_severity a.severity b.severity with
       | 0 -> (
           match String.compare a.code b.code with
-          | 0 -> String.compare a.message b.message
+          | 0 -> ( match String.compare a.message b.message with 0 -> compare_flow a b | c -> c)
           | c -> c)
       | c -> c)
   | c -> c

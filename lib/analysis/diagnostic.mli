@@ -56,18 +56,19 @@ val severity_of_string : string -> severity option
 (** Order severities most severe first ([Error < Warning < Info]). *)
 val compare_severity : severity -> severity -> int
 
-(** Order diagnostics by span, then code, then message. *)
+(** Order diagnostics by span, then code, then message, then flow. *)
 val compare : t -> t -> int
 
 (** Report order, shared by every namespace: span, then severity (most
-    severe first), then code, then message. Unlike {!compare} it ranks
-    severity so an error on a line precedes the line's notes. *)
+    severe first), then code, then message, then flow (no flow first).
+    Unlike {!compare} it ranks severity so an error on a line precedes
+    the line's notes. *)
 val compare_report : t -> t -> int
 
 (** [sort_report ds] sorts by {!compare_report} and drops exact
     duplicates — the canonical order of every rendered report, text or
     [--json], so output is deterministic across runs and rule evaluation
-    order. *)
+    order. Diagnostics differing only in [flow] are distinct: both stay. *)
 val sort_report : t list -> t list
 
 val equal : t -> t -> bool

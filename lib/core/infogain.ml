@@ -191,7 +191,9 @@ let build_evaluator inter =
    construction, so handing the cached one to any domain is safe; the
    race between two simultaneous builders is benign (both build the same
    value, one wins the slot). A single entry bounds retention to one
-   interleave graph. *)
+   interleave graph. It serves one-shot callers: a daemon session keeps
+   the evaluator inside its own kernel, so sessions that alternate never
+   evict each other here. *)
 let evaluator_cache : (Interleave.t * evaluator) option Atomic.t = Atomic.make None
 
 let evaluator inter =

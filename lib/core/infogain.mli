@@ -42,10 +42,13 @@ val compute_with_prior :
 type evaluator
 
 (** [evaluator inter] precomputes each base message's gain contribution.
-    The most recent build is cached keyed by [inter]'s physical identity
-    — evaluators are pure in the interleave and immutable, so repeated
-    scoring of one interleave (greedy then exact, select then reselect,
-    packing sweeps) pays for one build. *)
+    The most recent build is cached in one global slot keyed by [inter]'s
+    physical identity — evaluators are pure in the interleave and
+    immutable, so a one-shot caller's repeated scoring of one interleave
+    (greedy then exact, select then reselect, packing sweeps) pays for one
+    build. A caller that scores many interleavings in turn (a daemon's
+    resident sessions) holds a {!Kernel} per interleaving instead; the
+    kernel carries its evaluator ([Kernel.evaluator]). *)
 val evaluator : Interleave.t -> evaluator
 
 (** [eval_base ev name] is the contribution of one base message. *)

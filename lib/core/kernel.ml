@@ -5,7 +5,8 @@
    canonical (width-ascending) pool — per-slot trace widths, per-slot gain
    terms, suffix term sums, and per-slot destination-state bitsets
    ({!Bitset}) — so the walk runs on ints and floats only: a take is one
-   stack store plus one array-indexed float add, a leaf is a couple of
+   slot store plus one array-indexed float add into the depth-indexed
+   prefix-gain array (so it allocates nothing), a leaf is a couple of
    register compares, and coverage is a word-OR / popcount fold.
 
    A candidate on the walk is the depth-indexed stack of its taken slots;
@@ -41,6 +42,8 @@
      work counters do not depend on which domain ran which task. *)
 
 type t = {
+  k_inter : Interleave.t;  (* the interleaving the kernel was built from *)
+  k_ev : Infogain.evaluator;  (* the evaluator the terms came from *)
   k_pool : Message.t array;  (* canonical width-ascending pool *)
   k_widths : int array;  (* per-slot trace width *)
   k_terms : float array;  (* per-slot gain term *)
@@ -52,6 +55,8 @@ type t = {
 
 let n_messages t = Array.length t.k_pool
 let pool t = t.k_pool
+let interleave t = t.k_inter
+let evaluator t = t.k_ev
 
 let make inter =
   let pool = Array.of_list (Combination.canonical_pool (Interleave.messages inter)) in
@@ -74,6 +79,8 @@ let make inter =
       | None -> ())
     (Interleave.edges inter);
   {
+    k_inter = inter;
+    k_ev = ev;
     k_pool = pool;
     k_widths = widths;
     k_terms = terms;
@@ -142,6 +149,7 @@ type cell = {
   mutable scored : int;  (* leaves scored (ticked walk) *)
   mutable pruned : int;  (* subtrees cut by the bound (ticked walk) *)
   stack : int array;  (* walk scratch: the taken slots of the current path *)
+  gains : float array;  (* walk scratch: gains.(d) is the prefix gain at depth d *)
 }
 
 let cell t =
@@ -153,6 +161,7 @@ let cell t =
     scored = 0;
     pruned = 0;
     stack = Array.make (Array.length t.k_pool) 0;
+    gains = Array.make (Array.length t.k_pool + 1) 0.0;
   }
 
 let best c =
@@ -175,15 +184,18 @@ let consider t c gain bits stack depth =
     end
   end
 
-(* Push a task's prefix takes onto the cell's stack: same take order,
-   same float association as a root-to-leaf walk through that prefix
-   (plan indices are kernel slots — both index the canonical pool). *)
-let prefix_of_task t plan idx stack =
+(* Push a task's prefix takes onto the cell's stack and prefix gains:
+   same take order, same float association as a root-to-leaf walk
+   through that prefix (plan indices are kernel slots — both index the
+   canonical pool). Returns the prefix depth and bits. *)
+let prefix_of_task t plan idx c =
+  c.gains.(0) <- 0.0;
   List.fold_left
-    (fun (depth, gain, bits) i ->
-      stack.(depth) <- i;
-      (depth + 1, gain +. t.k_terms.(i), bits + t.k_widths.(i)))
-    (0, 0.0, 0)
+    (fun (depth, bits) i ->
+      c.stack.(depth) <- i;
+      c.gains.(depth + 1) <- c.gains.(depth) +. t.k_terms.(i);
+      (depth + 1, bits + t.k_widths.(i)))
+    (0, 0)
     (Combination.task_taken plan idx)
 
 (* ------------------------------------------------------------------ *)
@@ -246,9 +258,10 @@ let bound_inflation = 1.0 +. 1e-9
 let walk_task_fast t plan idx c =
   let widths = t.k_widths and terms = t.k_terms and suffix = t.k_suffix in
   let n = Array.length t.k_pool in
-  let stack = c.stack in
-  let depth0, gain0, bits0 = prefix_of_task t plan idx stack in
-  let rec go i remaining depth gain bits =
+  let stack = c.stack and gains = c.gains in
+  let depth0, bits0 = prefix_of_task t plan idx c in
+  let rec go i remaining depth bits =
+    let gain = Array.unsafe_get gains depth in
     if i = n then begin
       if depth > 0 && gain >= c.bg then consider t c gain bits stack depth
     end
@@ -259,13 +272,14 @@ let walk_task_fast t plan idx c =
         if depth > 0 && gain >= c.bg then consider t c gain bits stack depth
       end
       else begin
-        go (i + 1) remaining depth gain bits;
+        go (i + 1) remaining depth bits;
         Array.unsafe_set stack depth i;
-        go (i + 1) (remaining - w) (depth + 1) (gain +. Array.unsafe_get terms i) (bits + w)
+        Array.unsafe_set gains (depth + 1) (gain +. Array.unsafe_get terms i);
+        go (i + 1) (remaining - w) (depth + 1) (bits + w)
       end
     end
   in
-  go (Combination.task_start plan idx) (Combination.task_remaining plan idx) depth0 gain0 bits0
+  go (Combination.task_start plan idx) (Combination.task_remaining plan idx) depth0 bits0
 
 (* The ticked walk. With [only_maximal], a leaf is scored only when no
    fitting strict superset exists: every pool message is taken or skipped
@@ -274,26 +288,27 @@ let walk_task_fast t plan idx c =
 let walk_task t plan idx ~only_maximal ~incumbent ~budget c =
   let widths = t.k_widths and terms = t.k_terms and suffix = t.k_suffix in
   let n = Array.length t.k_pool in
-  let stack = c.stack in
-  let depth0, gain0, bits0 = prefix_of_task t plan idx stack in
+  let stack = c.stack and gains = c.gains in
+  let depth0, bits0 = prefix_of_task t plan idx c in
   let inc = ref incumbent in
-  let rec go i remaining min_skipped depth gain bits =
-    if i = n then leaf remaining min_skipped depth gain bits
+  let rec go i remaining min_skipped depth bits =
+    let gain = Array.unsafe_get gains depth in
+    if i = n then leaf remaining min_skipped depth bits
     else if (gain +. Array.unsafe_get suffix i) *. bound_inflation < !inc then
       c.pruned <- c.pruned + 1
     else begin
       let w = Array.unsafe_get widths i in
-      if w > remaining then leaf remaining (Int.min min_skipped w) depth gain bits
+      if w > remaining then leaf remaining (Int.min min_skipped w) depth bits
       else begin
-        go (i + 1) remaining (Int.min min_skipped w) depth gain bits;
+        go (i + 1) remaining (Int.min min_skipped w) depth bits;
         Array.unsafe_set stack depth i;
-        go (i + 1) (remaining - w) min_skipped (depth + 1)
-          (gain +. Array.unsafe_get terms i)
-          (bits + w)
+        Array.unsafe_set gains (depth + 1) (gain +. Array.unsafe_get terms i);
+        go (i + 1) (remaining - w) min_skipped (depth + 1) (bits + w)
       end
     end
-  and leaf remaining min_skipped depth gain bits =
+  and leaf remaining min_skipped depth bits =
     if depth > 0 then begin
+      let gain = Array.unsafe_get gains depth in
       Budget.tick budget;
       if gain > !inc then inc := gain;
       if not (only_maximal && min_skipped <= remaining) then begin
@@ -306,7 +321,7 @@ let walk_task t plan idx ~only_maximal ~incumbent ~budget c =
     (Combination.task_start plan idx)
     (Combination.task_remaining plan idx)
     (Combination.task_min_skipped plan idx)
-    depth0 gain0 bits0
+    depth0 bits0
 
 (* Run [body idx cell] over every plan task across [jobs] domains; tasks
    are claimed in plan order from a shared counter, and claiming stops

@@ -4,9 +4,9 @@
     arrays over the canonical (width-ascending) pool — trace widths, gain
     terms, suffix term sums, and per-message destination-state bitsets
     ({!Bitset}) — and walks the width-pruned subset tree on ints and
-    floats only; coverage becomes a word-OR/popcount fold. A candidate on
-    the walk is a depth-indexed stack of taken pool slots, so any pool
-    size works.
+    floats only, allocating nothing per take; coverage becomes a
+    word-OR/popcount fold. A candidate on the walk is a depth-indexed
+    stack of taken pool slots, so any pool size works.
 
     Bit-identity contract: takes along any root-to-leaf walk path happen
     in ascending slot order, so every candidate's gain equals, bit for
@@ -19,11 +19,23 @@
 
 type t
 
-(** [make inter] precomputes the kernel: builds the evaluator, the term
-    and width arrays, the suffix sums and the per-message state bitsets.
-    One O(pool + edges) pass; the result is immutable and safe to share
-    read-only across domains. *)
+(** [make inter] precomputes the kernel: takes the evaluator from
+    [Infogain.evaluator inter] (a build on a miss of its one-slot cache),
+    then the term and width arrays, the suffix sums and the per-message
+    state bitsets. One O(pool + edges) pass; the result is immutable and
+    safe to share read-only across domains. The kernel keeps its
+    interleaving and evaluator, so a caller that holds it — a daemon
+    session — scores that interleaving again without any rebuild. *)
 val make : Interleave.t -> t
+
+(** The interleaving the kernel was built from. [Select] compares it by
+    physical equality to refuse a kernel built from another one. *)
+val interleave : t -> Interleave.t
+
+(** The evaluator the kernel's terms came from. Step 3 ([Packing.pack])
+    scores against it whenever a kernel exists, so a held kernel never
+    consults [Infogain]'s one-slot cache. *)
+val evaluator : t -> Infogain.evaluator
 
 val n_messages : t -> int
 

@@ -68,8 +68,8 @@ let gain_with ev ~scale_partial ~selected ~packs =
   in
   Infogain.eval_weighted ev ~weight
 
-let pack inter ~selected ~gain:_ ~bits_used ~buffer_width ~scale_partial =
-  let ev = Infogain.evaluator inter in
+let pack ?evaluator inter ~selected ~gain:_ ~bits_used ~buffer_width ~scale_partial =
+  let ev = match evaluator with Some ev -> ev | None -> Infogain.evaluator inter in
   let selected_names = List.map (fun (m : Message.t) -> m.Message.name) selected in
   let rec go packs bits =
     let leftover = buffer_width - bits in

@@ -41,8 +41,13 @@ val gain_with :
   float
 
 (** [pack inter ~selected ~gain ~bits_used ~buffer_width ~scale_partial]
-    runs Step 3 and returns [(packs, final_gain, final_bits_used)]. *)
+    runs Step 3 and returns [(packs, final_gain, final_bits_used)].
+    [evaluator] must be [inter]'s; [Select.finalize] passes its kernel's
+    ({!Kernel.evaluator}), so a held kernel never touches the global
+    cache. Without it Step 3 takes [Infogain.evaluator inter], which
+    builds on a miss of that one-slot cache. *)
 val pack :
+  ?evaluator:Infogain.evaluator ->
   Interleave.t ->
   selected:Message.t list ->
   gain:float ->

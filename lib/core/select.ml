@@ -98,8 +98,9 @@ let step2 inter candidates =
       let gain, _, _ = best_score in
       (best_combo, gain)
 
-let greedy inter ~buffer_width =
-  let ev = Infogain.evaluator inter in
+(* The greedy walk over a given evaluator: a caller holding a kernel
+   passes its evaluator, so the global one-slot cache is never consulted. *)
+let greedy_with ev inter ~buffer_width =
   let pool = Interleave.messages inter in
   let rec go selected remaining pool =
     let candidates =
@@ -136,14 +137,16 @@ let greedy inter ~buffer_width =
   in
   go [] buffer_width pool
 
+let greedy inter ~buffer_width = greedy_with (Infogain.evaluator inter) inter ~buffer_width
+
 let strategies = [ ("exact", Exact); ("exact-maximal", Exact_maximal); ("greedy", Greedy) ]
 let strategy_name s = fst (List.find (fun (_, s') -> s' = s) strategies)
 let strategy_of_name name = List.assoc_opt name strategies
 
 let no_fit () = invalid_arg "Select: no message fits the trace buffer"
 
-let greedy_fallback inter ~buffer_width =
-  let combo = greedy inter ~buffer_width in
+let greedy_fallback ev inter ~buffer_width =
+  let combo = greedy_with ev inter ~buffer_width in
   if combo = [] then no_fit ();
   Tel.Counter.incr c_degraded;
   (combo, Infogain.of_combination inter combo, Tier.Greedy_fallback)
@@ -153,7 +156,8 @@ let greedy_fallback inter ~buffer_width =
    an expired budget degrades to the best of the leaves visited. *)
 let search ~maximal ~limit ~jobs ~deadline ~max_candidates ~seeds k inter ~buffer_width =
   let budget = Budget.make ?deadline ?max_candidates () in
-  if Budget.already_expired budget then (greedy_fallback inter ~buffer_width, None)
+  let ev = Kernel.evaluator k in
+  if Budget.already_expired budget then (greedy_fallback ev inter ~buffer_width, None)
   else begin
     let total = Kernel.admit k ~limit ~max_candidates ~buffer_width in
     let s = Kernel.search ~only_maximal:maximal ~jobs ~seeds ~budget k ~buffer_width in
@@ -166,13 +170,20 @@ let search ~maximal ~limit ~jobs ~deadline ~max_candidates ~seeds k inter ~buffe
             c.Kernel.c_gain,
             Tier.Anytime { explored = s.Kernel.s_explored; total } )
       | None when s.Kernel.s_complete -> no_fit ()
-      | None -> greedy_fallback inter ~buffer_width
+      | None -> greedy_fallback ev inter ~buffer_width
     in
     (answer, Some s)
   end
 
+(* A prebuilt kernel must come from this very interleaving: its terms,
+   pool and state bitsets are [inter]'s only. *)
+let check_kernel ~who inter = function
+  | Some k when Kernel.interleave k != inter ->
+      invalid_arg (who ^ ": kernel built from a different interleaving")
+  | _ -> ()
+
 let step1_step2 ?(strategy = Exact) ?(limit = Combination.default_limit) ?(jobs = 1) ?deadline
-    ?max_candidates inter ~buffer_width =
+    ?max_candidates ?kernel inter ~buffer_width =
   Tel.with_span "select.step1_2"
     ~args:(fun () ->
       Flowtrace_telemetry.Event.
@@ -180,13 +191,16 @@ let step1_step2 ?(strategy = Exact) ?(limit = Combination.default_limit) ?(jobs 
   @@ fun () ->
   match strategy with
   | Greedy ->
-      let combo = greedy inter ~buffer_width in
+      let ev =
+        match kernel with Some k -> Kernel.evaluator k | None -> Infogain.evaluator inter
+      in
+      let combo = greedy_with ev inter ~buffer_width in
       if combo = [] then no_fit ();
       let gain = Infogain.of_combination inter combo in
-      (combo, gain, Tier.Exact, None)
+      (combo, gain, Tier.Exact, kernel)
   | Exact | Exact_maximal ->
       let maximal = strategy = Exact_maximal in
-      let k = Kernel.make inter in
+      let k = match kernel with Some k -> k | None -> Kernel.make inter in
       if deadline = None && max_candidates = None then begin
         match Kernel.select_exact ~only_maximal:maximal ~limit ~jobs k ~buffer_width with
         | None -> no_fit ()
@@ -207,11 +221,14 @@ let step1_step2 ?(strategy = Exact) ?(limit = Combination.default_limit) ?(jobs 
 
 let finalize ?(pack = true) ?(scale_partial = false) ?(tier = Tier.Exact) ?kernel inter ~combo
     ~gain ~buffer_width =
+  check_kernel ~who:"Select.finalize" inter kernel;
   let bits = Message.total_width combo in
   let packed, gain, bits =
     if pack then
       Tel.with_span "select.pack" (fun () ->
-          Packing.pack inter ~selected:combo ~gain ~bits_used:bits ~buffer_width ~scale_partial)
+          Packing.pack
+            ?evaluator:(Option.map Kernel.evaluator kernel)
+            inter ~selected:combo ~gain ~bits_used:bits ~buffer_width ~scale_partial)
     else ([], gain, bits)
   in
   let observable =
@@ -230,14 +247,15 @@ let finalize ?(pack = true) ?(scale_partial = false) ?(tier = Tier.Exact) ?kerne
   in
   { messages = combo; packed; gain; coverage; bits_used = bits; buffer_width; tier }
 
-let select ?strategy ?limit ?jobs ?deadline ?max_candidates ?pack ?scale_partial inter
+let select ?strategy ?limit ?jobs ?deadline ?max_candidates ?pack ?scale_partial ?kernel inter
     ~buffer_width =
+  check_kernel ~who:"Select.select" inter kernel;
   Tel.Counter.incr c_runs;
   Tel.with_span "select"
     ~args:(fun () -> [ ("width", Flowtrace_telemetry.Event.Int buffer_width) ])
   @@ fun () ->
   let combo, gain, tier, kernel =
-    step1_step2 ?strategy ?limit ?jobs ?deadline ?max_candidates inter ~buffer_width
+    step1_step2 ?strategy ?limit ?jobs ?deadline ?max_candidates ?kernel inter ~buffer_width
   in
   finalize ?pack ?scale_partial ~tier ?kernel inter ~combo ~gain ~buffer_width
 

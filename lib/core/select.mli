@@ -99,7 +99,15 @@ val step2 : Interleave.t -> Message.t list list -> Message.t list * float
     bit-identical to an unbudgeted one, with tier [Exact]. Degraded
     results from expired budgets are not deterministic across job counts
     (the explored prefix depends on the schedule); only complete runs
-    are. *)
+    are.
+
+    [kernel], when given, is a kernel already built from [inter]
+    ({!Kernel.make}): Steps 1–3 run on it and its evaluator, with no
+    [Kernel.make] and no look at [Infogain]'s one-slot cache — a daemon
+    session builds its kernel once and passes it to every select. The
+    result is bit-identical to a run without it. Raises
+    [Invalid_argument] when the kernel was built from a different
+    interleaving (physical equality). *)
 val select :
   ?strategy:strategy ->
   ?limit:int ->
@@ -108,6 +116,7 @@ val select :
   ?max_candidates:int ->
   ?pack:bool ->
   ?scale_partial:bool ->
+  ?kernel:Kernel.t ->
   Interleave.t ->
   buffer_width:int ->
   result
@@ -126,7 +135,10 @@ val greedy : Interleave.t -> buffer_width:int -> Message.t list
     in shape and packing to an in-process run. [tier] defaults to
     [Tier.Exact]. [kernel], when given, computes coverage via the
     word-parallel {!Kernel.coverage} fold instead of [Coverage.compute]
-    (identical value, no edge-list rescan). *)
+    (identical value, no edge-list rescan) and hands its evaluator
+    ({!Kernel.evaluator}) to [Packing.pack], so Step 3 never consults
+    [Infogain]'s one-slot cache. Raises [Invalid_argument] when the
+    kernel was built from a different interleaving. *)
 val finalize :
   ?pack:bool ->
   ?scale_partial:bool ->

@@ -20,6 +20,9 @@ type entry = {
   e_inter : Interleave.t;
   e_flows : int;  (** flow instances in the interleaving *)
   e_pool : int;  (** messages in the selection pool *)
+  mutable e_kernel : Kernel.t option;
+      (** built on the session's first exact select or localize, under
+          the shard lock, then kept: the interleaving never changes *)
 }
 
 type shard = { mu : Mutex.t; sessions : (string, entry) Hashtbl.t }
@@ -46,7 +49,7 @@ let entry_of_session (s : Store.session) =
   Op.scenario (Op.Text s.Store.se_spec) s.Store.se_instances
   |> Result.map (fun (inter, e_flows) ->
          let e_pool = List.length (Interleave.messages inter) in
-         { e_session = s; e_inter = inter; e_flows; e_pool })
+         { e_session = s; e_inter = inter; e_flows; e_pool; e_kernel = None })
 
 let create ?state_dir ?(vfs = Vfs.passthrough) ?(shards = 4) ?(max_inflight = 64) ?(retries = 2)
     ?(backoff_seed = 0) ?(chaos = false) ?(resume = false) () =
@@ -181,6 +184,21 @@ let session_fields (e : entry) =
 let selected_field (r : Select.result) =
   Json.List (List.map (fun n -> Json.String n) (Select.selected_names r))
 
+(* The session's kernel, and with it its evaluator: built once, on the
+   first exact select or localize — never at open, so opening stays as
+   cheap as before — and reused by every later one. The caller holds the
+   session's shard lock. A plain option set only after [Kernel.make]
+   returns, so a failed build is retried next time instead of being
+   remembered. Greedy sessions keep the kernel-free path. *)
+let kernel_of (e : entry) =
+  match e.e_session.Store.se_strategy with
+  | Select.Greedy -> None
+  | Select.Exact | Select.Exact_maximal ->
+      (match e.e_kernel with
+      | Some _ -> ()
+      | None -> e.e_kernel <- Some (Kernel.make e.e_inter));
+      e.e_kernel
+
 let run_select (e : entry) ~width ~deadline_ms ~max_candidates ~pack =
   let s = e.e_session in
   let buffer_width = Option.value ~default:s.Store.se_width width in
@@ -189,8 +207,8 @@ let run_select (e : entry) ~width ~deadline_ms ~max_candidates ~pack =
   in
   match
     Op.guard ~buffer_width (fun () ->
-        Select.select ~strategy:s.Store.se_strategy ?deadline ?max_candidates ~pack e.e_inter
-          ~buffer_width)
+        Select.select ~strategy:s.Store.se_strategy ?deadline ?max_candidates ~pack
+          ?kernel:(kernel_of e) e.e_inter ~buffer_width)
   with
   | Error e -> err "%s" (Op.message e)
   | Ok r ->
@@ -210,8 +228,8 @@ let run_localize (e : entry) ~trace ~lossy ~skip_budget ~width =
   let s = e.e_session in
   let buffer_width = Option.value ~default:s.Store.se_width width in
   match
-    Op.localize ~strategy:s.Store.se_strategy e.e_inter ~buffer_width ~lossy ~skip_budget
-      (Op.Tokens trace)
+    Op.localize ~strategy:s.Store.se_strategy ?kernel:(kernel_of e) e.e_inter ~buffer_width
+      ~lossy ~skip_budget (Op.Tokens trace)
   with
   | Error e -> err "%s" (Op.message e)
   | Ok l ->

@@ -8,13 +8,16 @@
     Sessions are sharded by id hash; each shard is a mutex-guarded table,
     and {!handle} holds exactly one shard's lock for the duration of a
     session op, so sessions on different shards proceed concurrently and
-    state never leaks across sessions. Admission is a global in-flight
-    cap: past it, session ops get an honest ["busy"] response instead of
-    queueing without bound. Each session op body runs under
+    state never leaks across sessions. A session of an exact strategy
+    keeps its {!Flowtrace_core.Kernel} (and with it its evaluator): the
+    first select or localize builds it under the shard lock, every later
+    one reuses it, and open-session builds nothing. Admission is a global
+    in-flight cap: past it, session ops get an honest ["busy"] response
+    instead of queueing without bound. Each session op body runs under
     {!Flowtrace_runtime.Supervisor.run} (one task, bounded retries with
     {!Flowtrace_runtime.Backoff} delays), so an injected or transient
-    fault is retried transparently and the response bytes are identical
-    to an undisturbed run. *)
+    fault is retried transparently and the response bytes are identical to
+    an undisturbed run. *)
 
 module Diagnostic = Flowtrace_analysis.Diagnostic
 module Vfs = Flowtrace_runtime.Vfs

@@ -72,13 +72,15 @@ type localized = {
   lossy : Localize.lossy_report option;
 }
 
-let localize ?strategy inter ~buffer_width ~lossy ~skip_budget observation =
+let localize ?strategy ?kernel inter ~buffer_width ~lossy ~skip_budget observation =
   let* tokens =
     if buffer_width < 1 then Error (Invalid "width must be positive")
     else if skip_budget < 0 then Error (Invalid "skip_budget must be non-negative")
     else match observation with Tokens tokens -> indexed_of_tokens tokens | Packets _ -> Ok []
   in
-  let* selection = guard ~buffer_width (fun () -> Select.select ?strategy inter ~buffer_width) in
+  let* selection =
+    guard ~buffer_width (fun () -> Select.select ?strategy ?kernel inter ~buffer_width)
+  in
   let selected = Select.is_observable selection in
   let observed =
     match observation with

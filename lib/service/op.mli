@@ -48,9 +48,12 @@ type localized = {
 (** [localize inter ~buffer_width ~lossy ~skip_budget observation] checks
     the width, the skip budget and the tokens, in that order, then selects
     and counts the executions prefix-consistent with the observation —
-    as a subsequence within [skip_budget] skips when [lossy]. *)
+    as a subsequence within [skip_budget] skips when [lossy]. [kernel] is
+    a kernel prebuilt from [inter] for the selection ({!Select.select});
+    a foreign one is a [Failed] error. *)
 val localize :
   ?strategy:Select.strategy ->
+  ?kernel:Kernel.t ->
   Interleave.t ->
   buffer_width:int ->
   lossy:bool ->

@@ -275,10 +275,12 @@ let run ?(ready = fun () -> ()) ?(on_diags = fun _ -> ()) cfg =
         | None -> () (* client vanished; the response has nowhere to go *))
       items
   in
+  (* one buffer for every wake-up: 4 KiB is past the minor-heap size
+     limit, so a fresh one per drain would be a major-heap allocation *)
+  let drain_buf = Bytes.create 4096 in
   let drain_pipe () =
-    let b = Bytes.create 4096 in
     let rec go () =
-      match Unix.read pipe_r b 0 4096 with
+      match Unix.read pipe_r drain_buf 0 4096 with
       | n when n > 0 -> go ()
       | _ -> ()
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()

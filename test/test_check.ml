@@ -427,35 +427,44 @@ let pair_arb =
         (Spec_parser.print_flow (chains_of_seed ~name:"G" b)))
     QCheck.Gen.(pair (int_bound 20_000) (int_bound 20_000))
 
+let ambiguity_matches_brute_force (sa, sb) =
+  let f = chains_of_seed ~name:"F" sa and g = chains_of_seed ~name:"G" sb in
+  let diags = Check.run (Scenario_model.of_flows ~file:"prop" [ f; g ]) in
+  let static_identical = has "FC010" diags in
+  let static_prefix = has "FC011" diags in
+  let dyn_eq = dyn_subset f g && dyn_subset g f in
+  let dyn_prefix =
+    dyn_subset ~semantics:Localize.Prefix f g || dyn_subset ~semantics:Localize.Prefix g f
+  in
+  let branch_static flow =
+    List.exists
+      (fun (d : Diagnostic.t) ->
+        String.equal d.Diagnostic.code "FC012"
+        && Option.equal String.equal d.Diagnostic.flow (Some flow.Flow.name))
+      diags
+  in
+  let branch_dyn flow =
+    let inter = solo_inter flow in
+    List.exists
+      (fun tr ->
+        Localize.consistent_paths inter ~selected:all_selected ~observed:tr >= 2)
+      (Interleave.executions inter)
+  in
+  Bool.equal static_identical dyn_eq
+  && Bool.equal (static_identical || static_prefix) dyn_prefix
+  && Bool.equal (branch_static f) (branch_dyn f)
+  && Bool.equal (branch_static g) (branch_dyn g)
+
 let prop_ambiguity_matches_brute_force =
   QCheck.Test.make ~count:200 ~name:"FC010/FC011/FC012 = Interleave/Localize brute force"
-    pair_arb (fun (sa, sb) ->
-      let f = chains_of_seed ~name:"F" sa and g = chains_of_seed ~name:"G" sb in
-      let diags = Check.run (Scenario_model.of_flows ~file:"prop" [ f; g ]) in
-      let static_identical = has "FC010" diags in
-      let static_prefix = has "FC011" diags in
-      let dyn_eq = dyn_subset f g && dyn_subset g f in
-      let dyn_prefix =
-        dyn_subset ~semantics:Localize.Prefix f g || dyn_subset ~semantics:Localize.Prefix g f
-      in
-      let branch_static flow =
-        List.exists
-          (fun (d : Diagnostic.t) ->
-            String.equal d.Diagnostic.code "FC012"
-            && Option.equal String.equal d.Diagnostic.flow (Some flow.Flow.name))
-          diags
-      in
-      let branch_dyn flow =
-        let inter = solo_inter flow in
-        List.exists
-          (fun tr ->
-            Localize.consistent_paths inter ~selected:all_selected ~observed:tr >= 2)
-          (Interleave.executions inter)
-      in
-      Bool.equal static_identical dyn_eq
-      && Bool.equal (static_identical || static_prefix) dyn_prefix
-      && Bool.equal (branch_static f) (branch_dyn f)
-      && Bool.equal (branch_static g) (branch_dyn g))
+    pair_arb ambiguity_matches_brute_force
+
+(* F is two [a] chains, G two [a b] chains: both flows raise FC012 at the
+   same scenario span with the same message, and a report order blind to
+   [flow] merged them, losing G's. *)
+let test_fc012_per_flow_pinned () =
+  Alcotest.(check bool) "seeds (3563, 3003) agree with brute force" true
+    (ambiguity_matches_brute_force (3563, 3003))
 
 let () =
   Alcotest.run "check"
@@ -498,5 +507,9 @@ let () =
           Alcotest.test_case "cross-namespace catalog JSON" `Quick test_catalog_json;
         ] );
       ( "properties",
-        [ QCheck_alcotest.to_alcotest prop_ambiguity_matches_brute_force ] );
+        [
+          Alcotest.test_case "FC012 kept per flow: seeds (3563, 3003)" `Quick
+            test_fc012_per_flow_pinned;
+          QCheck_alcotest.to_alcotest prop_ambiguity_matches_brute_force;
+        ] );
     ]

@@ -310,6 +310,68 @@ let test_oversized_pool () =
   let r, _ = Select.reselect ~seeds:[ [ "bm00" ] ] ~pack:false inter ~buffer_width:2 in
   Alcotest.(check bool) "reselect = oracle" true (same_result o r)
 
+(* ------------------------------------------------------------------ *)
+(* A prebuilt kernel *)
+
+module Tel = Flowtrace_telemetry.Telemetry
+module Sink = Flowtrace_telemetry.Sink
+
+let test_prebuilt_kernel () =
+  let inter = Scenario.interleave Scenario.scenario1 in
+  let k = Kernel.make inter in
+  Alcotest.(check bool) "the kernel keeps its interleaving" true (Kernel.interleave k == inter);
+  let far = Unix.gettimeofday () +. 3600.0 in
+  let runs =
+    [
+      ("exact", fun kernel w -> Select.select ?kernel inter ~buffer_width:w);
+      ( "maximal",
+        fun kernel w ->
+          Select.select ~strategy:Select.Exact_maximal ?kernel inter ~buffer_width:w );
+      ( "greedy",
+        fun kernel w -> Select.select ~strategy:Select.Greedy ?kernel inter ~buffer_width:w );
+      ("budgeted", fun kernel w -> Select.select ~deadline:far ?kernel inter ~buffer_width:w);
+    ]
+  in
+  let widths = [ 16; 32; 40 ] in
+  let plain = List.map (fun (name, run) -> (name, List.map (fun w -> run None w) widths)) runs in
+  (* the global one-slot cache now holds another interleaving's evaluator:
+     a held kernel must not need it *)
+  ignore (Infogain.evaluator (Scenario.interleave Scenario.scenario2));
+  Tel.install Sink.null;
+  let held =
+    Fun.protect ~finally:Tel.shutdown (fun () ->
+        let held =
+          List.map (fun (name, run) -> (name, List.map (fun w -> run (Some k) w) widths)) runs
+        in
+        Alcotest.(check int) "no evaluator build with a kernel" 0
+          (Tel.Counter.value (Tel.Counter.v "infogain.evaluator_builds"));
+        held)
+  in
+  List.iter2
+    (fun (name, ps) (_, hs) ->
+      List.iter2
+        (fun (p : Select.result) (h : Select.result) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s w%d: held kernel = fresh run" name p.Select.buffer_width)
+            true (same_result p h))
+        ps hs)
+    plain held
+
+let test_foreign_kernel_refused () =
+  let inter = Scenario.interleave Scenario.scenario1 in
+  (* same flows and counts, another interleaving value *)
+  let foreign = Kernel.make (Scenario.interleave Scenario.scenario1) in
+  let refused what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: a foreign kernel was accepted" what
+  in
+  refused "select" (fun () -> ignore (Select.select ~kernel:foreign inter ~buffer_width:32));
+  refused "greedy select" (fun () ->
+      ignore (Select.select ~strategy:Select.Greedy ~kernel:foreign inter ~buffer_width:32));
+  refused "finalize" (fun () ->
+      ignore (Select.finalize ~kernel:foreign inter ~combo:[] ~gain:0.0 ~buffer_width:32))
+
 let () =
   Alcotest.run "kernel"
     [
@@ -340,4 +402,11 @@ let () =
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_random_engines_identical; prop_kernel_coverage_matches_compute ] );
+      ( "prebuilt kernel",
+        [
+          Alcotest.test_case "held kernel = fresh run, no evaluator build" `Quick
+            test_prebuilt_kernel;
+          Alcotest.test_case "a foreign kernel raises Invalid_argument" `Quick
+            test_foreign_kernel_refused;
+        ] );
     ]

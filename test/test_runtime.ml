@@ -456,6 +456,38 @@ let test_crc32_vectors () =
     (Crc32.string (a ^ b))
     (Crc32.update (Crc32.string a) b)
 
+(* The boxed-Int32 implementation the native-int loop replaced, kept as
+   the oracle: same table, same reflected register, one Int32 per step. *)
+let crc32_boxed_oracle crc s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref (Int32.of_int n) in
+        for _ = 0 to 7 do
+          if Int32.logand !c 1l <> 0l then
+            c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else c := Int32.shift_right_logical !c 1
+        done;
+        !c)
+  in
+  let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
+  String.iter
+    (fun ch ->
+      let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl) in
+      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
+    s;
+  Int32.logxor !c 0xFFFFFFFFl
+
+let prop_crc32_chunked_matches_oracle =
+  QCheck.Test.make ~name:"crc32: chained updates = one string = boxed oracle" ~count:300
+    QCheck.(pair string (list string))
+    (fun (first, rest) ->
+      let whole = String.concat "" (first :: rest) in
+      let chained = List.fold_left Crc32.update (Crc32.string first) rest in
+      let oracle = List.fold_left crc32_boxed_oracle (crc32_boxed_oracle 0l first) rest in
+      Int32.equal chained (Crc32.string whole)
+      && Int32.equal chained oracle
+      && Int32.equal (Crc32.string whole) (crc32_boxed_oracle 0l whole))
+
 (* ------------------------------------------------------------------ *)
 (* Retry backoff (satellite of the service PR) *)
 
@@ -813,5 +845,6 @@ let () =
           Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
           Alcotest.test_case "Sample k<=0 rejected at construction" `Quick
             test_sample_zero_rejected;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_crc32_chunked_matches_oracle ] );
     ]

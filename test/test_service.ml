@@ -539,6 +539,156 @@ let test_dispatch_sharding () =
       Alcotest.(check int) "stable" s (Dispatch.shard_of t id))
     [ "a"; "b"; "tenant-17"; String.make 64 'z' ]
 
+(* ---------- Resident session kernels ---------- *)
+
+module Core = Flowtrace_core
+module Scenario = Flowtrace_soc.Scenario
+module Tel = Flowtrace_telemetry.Telemetry
+module Sink = Flowtrace_telemetry.Sink
+
+let c_builds = Tel.Counter.v "infogain.evaluator_builds"
+
+let with_counters f =
+  Tel.install Sink.null;
+  Fun.protect ~finally:Tel.shutdown f
+
+let scenario_spec sc = Core.Spec_parser.print_flows (Scenario.flows sc)
+
+let scenario_open ~session sc =
+  req
+    [
+      ("op", Json.String "open-session");
+      ("session", Json.String session);
+      ("spec", Json.String (scenario_spec sc));
+      ( "instances",
+        Json.Obj (List.map (fun (n, k) -> (n, Json.Int k)) sc.Scenario.analysis_counts) );
+      ("width", Json.Int 32);
+    ]
+
+let width_select ~session width =
+  req
+    [ ("op", Json.String "select"); ("session", Json.String session); ("width", Json.Int width) ]
+
+let empty_localize ~session =
+  req
+    [
+      ("op", Json.String "localize");
+      ("session", Json.String session);
+      ("trace", Json.List []);
+    ]
+
+(* The oracle runs the library on an interleaving built afresh from the
+   same spec and counts, so it shares no kernel or evaluator with the
+   daemon's session. *)
+let fresh_inter sc =
+  match Op.scenario (Op.Text (scenario_spec sc)) sc.Scenario.analysis_counts with
+  | Ok (inter, _) -> inter
+  | Error m -> Alcotest.failf "scenario %s: %s" sc.Scenario.name m
+
+let fresh_select sc width =
+  Core.Select.select ~strategy:Core.Select.Exact (fresh_inter sc) ~buffer_width:width
+
+let strings_field name line =
+  match Option.bind (field name line) Json.to_list_opt with
+  | Some l -> List.filter_map Json.to_string_opt l
+  | None -> Alcotest.failf "response lacks list %S: %s" name line
+
+let check_select ~what (r : Core.Select.result) line =
+  check_status ~what ~status:"ok" ~exit:0 line;
+  Alcotest.(check (list string)) (what ^ ": selected") (Core.Select.selected_names r)
+    (strings_field "selected" line);
+  Alcotest.(check string) (what ^ ": gain_bits")
+    (Printf.sprintf "%016Lx" (Int64.bits_of_float r.Core.Select.gain))
+    (str_field "gain_bits" line);
+  Alcotest.(check int64) (what ^ ": coverage bits")
+    (Int64.bits_of_float r.Core.Select.coverage)
+    (match Option.bind (field "coverage" line) Json.to_float_opt with
+    | Some c -> Int64.bits_of_float c
+    | None -> Alcotest.failf "response lacks coverage: %s" line);
+  Alcotest.(check int) (what ^ ": bits_used") r.Core.Select.bits_used (int_field "bits_used" line)
+
+let widths = [ 16; 24; 32; 40 ]
+
+let test_session_builds_kernel_once () =
+  let sc = Scenario.scenario1 in
+  let oracle = List.map (fun w -> (w, fresh_select sc w)) widths in
+  let loc_oracle =
+    match
+      Op.localize ~strategy:Core.Select.Exact (fresh_inter sc) ~buffer_width:32 ~lossy:false
+        ~skip_budget:2 (Op.Tokens [])
+    with
+    | Ok l -> l
+    | Error e -> Alcotest.failf "oracle localize: %s" (Op.message e)
+  in
+  with_counters @@ fun () ->
+  let t, _ = Dispatch.create () in
+  check_status ~what:"open" ~status:"ok" ~exit:0 (handle t (scenario_open ~session:"k" sc));
+  Alcotest.(check int) "open-session alone builds nothing" 0 (Tel.Counter.value c_builds);
+  (* every width twice, then a localize: one build serves them all *)
+  List.iter
+    (fun (w, r) ->
+      check_select ~what:(Printf.sprintf "w%d" w) r (handle t (width_select ~session:"k" w)))
+    (oracle @ oracle);
+  let loc = handle t (empty_localize ~session:"k") in
+  check_status ~what:"localize" ~status:"ok" ~exit:0 loc;
+  Alcotest.(check (list string)) "localize selection"
+    (Core.Select.selected_names loc_oracle.Op.selection)
+    (strings_field "selection" loc);
+  Alcotest.(check int) "localize consistent" loc_oracle.Op.consistent (int_field "consistent" loc);
+  Alcotest.(check int) "localize total" loc_oracle.Op.total (int_field "total" loc);
+  Alcotest.(check int) "one evaluator build per session" 1 (Tel.Counter.value c_builds)
+
+(* Two sessions of different scenarios on different shards, driven in
+   strict alternation from two domains: a one-slot cache would rebuild on
+   every request, and a kernel shared across sessions would answer one
+   session with the other's selection. *)
+let test_sessions_keep_own_kernels () =
+  let t, _ = Dispatch.create ~shards:4 () in
+  let first = "sess0" in
+  let rec elsewhere n =
+    let id = Printf.sprintf "sess%d" n in
+    if Dispatch.shard_of t id <> Dispatch.shard_of t first then id else elsewhere (n + 1)
+  in
+  let ids = [ first; elsewhere 1 ] in
+  let plan = List.combine ids [ Scenario.scenario1; Scenario.scenario2 ] in
+  let oracle =
+    List.map (fun (id, sc) -> (id, List.map (fun w -> (w, fresh_select sc w)) widths)) plan
+  in
+  with_counters @@ fun () ->
+  List.iter
+    (fun (id, sc) ->
+      check_status ~what:("open " ^ id) ~status:"ok" ~exit:0
+        (handle t (scenario_open ~session:id sc)))
+    plan;
+  let rounds = 3 in
+  let turn = Atomic.make 0 in
+  let drive slot () =
+    let id, answers = List.nth oracle slot in
+    let got = ref [] in
+    for _ = 1 to rounds do
+      List.iter
+        (fun (w, _) ->
+          while Atomic.get turn mod 2 <> slot do
+            Domain.cpu_relax ()
+          done;
+          got := (w, handle t (width_select ~session:id w)) :: !got;
+          Atomic.incr turn)
+        answers
+    done;
+    (id, answers, List.rev !got)
+  in
+  let other = Domain.spawn (drive 1) in
+  let here = drive 0 () in
+  let there = Domain.join other in
+  List.iter
+    (fun (id, answers, got) ->
+      List.iter
+        (fun (w, line) ->
+          check_select ~what:(Printf.sprintf "%s w%d" id w) (List.assoc w answers) line)
+        got)
+    [ here; there ];
+  Alcotest.(check int) "two sessions, two builds" 2 (Tel.Counter.value c_builds)
+
 let () =
   Alcotest.run "service"
     [
@@ -584,5 +734,12 @@ let () =
             test_dispatch_negative_instance_index;
           Alcotest.test_case "an unreadable state dir resumes with RT011" `Quick
             test_dispatch_resume_unreadable_dir;
+        ] );
+      ( "kernels",
+        [
+          Alcotest.test_case "one build answers every width and a localize" `Quick
+            test_session_builds_kernel_once;
+          Alcotest.test_case "two sessions on two domains keep their own kernels" `Quick
+            test_sessions_keep_own_kernels;
         ] );
     ]

@@ -193,7 +193,13 @@ let serve_saturation () =
 let stress_tests =
   let inter = Stress.interleave () in
   let w = Stress.default_buffer_width in
+  let kernel = Kernel.make inter in
   [
+    (* a select as a daemon session runs it, with no Step 3: a prebuilt
+       kernel, so no Kernel.make (most of stress_select_bitset) — only
+       admission, the bound table, the walk and the coverage fold *)
+    Test.make ~name:"stress_walk_resident"
+      (Staged.stage (fun () -> ignore (Select.select ~pack:false ~kernel inter ~buffer_width:w)));
     Test.make ~name:"stress_select_exact_list"
       (Staged.stage (fun () -> ignore (select_exact_list inter ~buffer_width:w)));
     Test.make ~name:"stress_select_bitset"

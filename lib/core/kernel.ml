@@ -3,11 +3,11 @@
    Step-1/2 selection spends its whole life in the subset-tree walk. This
    kernel precomputes everything the walk reads into flat arrays over the
    canonical (width-ascending) pool — per-slot trace widths, per-slot gain
-   terms, suffix term sums, and per-slot destination-state bitsets
-   ({!Bitset}) — so the walk runs on ints and floats only: a take is one
-   slot store plus one array-indexed float add into the depth-indexed
-   prefix-gain array (so it allocates nothing), a leaf is a couple of
-   register compares, and coverage is a word-OR / popcount fold.
+   terms and per-slot destination-state bitsets ({!Bitset}) — so the walk
+   runs on ints and floats only: a take is one slot store plus one
+   array-indexed float add into the depth-indexed prefix-gain array (so it
+   allocates nothing), a leaf is a couple of register compares, and
+   coverage is a word-OR / popcount fold.
 
    A candidate on the walk is the depth-indexed stack of its taken slots;
    it is copied out (as an ascending slot array) only when it improves the
@@ -19,11 +19,20 @@
    reproduces the float association of the brute-force list path
    ([Combination.enumerate] scored by [Infogain.eval]) exactly — gains are
    bit-for-bit equal, and the unique best under the deterministic
-   comparator ({!better}) is the same at any job count. The candidate
-   count, and with it the [Too_many] decision, is settled arithmetically by
-   a knapsack-counting DP ({!count_candidates}) before any walk starts,
-   which frees every walk to skip subtrees that provably cannot beat the
-   best-so-far.
+   comparator ({!better}) is the same at any job count.
+
+   Every walk runs on an admitted run ({!admit}): the candidate count, and
+   with it the [Too_many] decision, is settled arithmetically by a
+   knapsack-counting DP ({!count_candidates}); only then is the run's
+   bound table built — a knapsack-optimum DP over the same pool and
+   widths: [ub(i, c)] is the best term sum over slots ≥ i whose widths
+   total at most [c]. Steps 1–2 together are a 0/1 knapsack (the gain is
+   a sum of per-message terms), so [prefix gain + ub(i, remaining)] is
+   the best any leaf below a node can reach, and a node whose inflated
+   bound falls strictly below the best-so-far is skipped. Terms are
+   non-negative and the bound over-approximates every float leaf sum
+   below the node, so no leaf that could beat or tie the final best is
+   ever skipped.
 
    Two walks share the task decomposition of {!Combination.plan}:
    - the fast walk answers plain exact selections: no tick, bound-pruned
@@ -33,13 +42,10 @@
      of lib/runtime. It ticks a {!Budget} once per visited leaf and runs
      as an exact branch-and-bound: seed candidates (typically journalled
      bests of a previous run of a slightly different scenario) are
-     re-scored under the new terms to form an incumbent, and any subtree
-     whose inflated upper bound (prefix gain + remaining suffix term sum)
-     falls strictly below it is pruned. Terms are non-negative and the
-     bound over-approximates every float leaf sum below the node, so no
-     leaf that could beat or tie the final best is ever skipped. Pruning
-     decisions use task-local incumbents only, so a task's best and its
-     work counters do not depend on which domain ran which task. *)
+     re-scored under the new terms to form an incumbent, and subtrees are
+     pruned against it on the same bound. Pruning decisions use
+     task-local incumbents only, so a task's best and its work counters
+     do not depend on which domain ran which task. *)
 
 type t = {
   k_inter : Interleave.t;  (* the interleaving the kernel was built from *)
@@ -47,7 +53,6 @@ type t = {
   k_pool : Message.t array;  (* canonical width-ascending pool *)
   k_widths : int array;  (* per-slot trace width *)
   k_terms : float array;  (* per-slot gain term *)
-  k_suffix : float array;  (* k_suffix.(i) = Σ_{j ≥ i} k_terms.(j); length n+1 *)
   k_states : Bitset.t array;  (* per-slot destination-state set *)
   k_n_states : int;
   k_index : (string, int) Hashtbl.t;  (* base name -> pool slot *)
@@ -64,10 +69,6 @@ let make inter =
   let ev = Infogain.evaluator inter in
   let widths = Array.map Message.trace_width pool in
   let terms = Infogain.terms ev pool in
-  let suffix = Array.make (n + 1) 0.0 in
-  for i = n - 1 downto 0 do
-    suffix.(i) <- terms.(i) +. suffix.(i + 1)
-  done;
   let index = Hashtbl.create (2 * n) in
   Array.iteri (fun i (m : Message.t) -> Hashtbl.replace index m.Message.name i) pool;
   let n_states = Interleave.n_states inter in
@@ -84,7 +85,6 @@ let make inter =
     k_pool = pool;
     k_widths = widths;
     k_terms = terms;
-    k_suffix = suffix;
     k_states = states;
     k_n_states = n_states;
     k_index = index;
@@ -199,7 +199,20 @@ let prefix_of_task t plan idx c =
     (Combination.task_taken plan idx)
 
 (* ------------------------------------------------------------------ *)
-(* Counting and the limit *)
+(* Counting, the limit and the bound table *)
+
+(* Slots [0, fit) are the ones no wider than the buffer — a prefix, since
+   the pool is width-ascending — and [cap] is the widest total a candidate
+   can reach: the buffer, or less when every fitting slot together is
+   narrower. Both DPs below run over columns [0, cap]. *)
+let fitting t ~buffer_width =
+  let n = Array.length t.k_widths in
+  let fit = ref 0 and total = ref 0 in
+  while !fit < n && t.k_widths.(!fit) <= buffer_width do
+    total := Int.min buffer_width (!total + t.k_widths.(!fit));
+    incr fit
+  done;
+  (!fit, Int.max 0 !total)
 
 (* How many candidates would a full walk visit? Every non-empty subset of
    the pool whose total trace width fits the buffer, exactly once — so
@@ -209,35 +222,92 @@ let prefix_of_task t plan idx c =
    practical limit. *)
 let count_cap = max_int / 4
 
-let count_candidates t ~buffer_width =
-  if buffer_width <= 0 then 0
-  else begin
-    let cap_w = min buffer_width (Array.fold_left ( + ) 0 t.k_widths) in
-    let sat a b =
-      let s = a + b in
-      if s < 0 || s > count_cap then count_cap else s
-    in
-    let dp = Array.make (cap_w + 1) 0 in
-    dp.(0) <- 1;
-    Array.iter
-      (fun w ->
-        if w <= cap_w then
-          for r = cap_w downto w do
-            dp.(r) <- sat dp.(r) dp.(r - w)
-          done)
-      t.k_widths;
-    Array.fold_left sat 0 dp - 1 (* minus the empty selection *)
-  end
+let count_fitting t ~fit ~cap =
+  let sat a b =
+    let s = a + b in
+    if s < 0 || s > count_cap then count_cap else s
+  in
+  let dp = Array.make (cap + 1) 0 in
+  dp.(0) <- 1;
+  for i = 0 to fit - 1 do
+    let w = t.k_widths.(i) in
+    for r = cap downto w do
+      dp.(r) <- sat dp.(r) dp.(r - w)
+    done
+  done;
+  Array.fold_left sat 0 dp - 1 (* minus the empty selection *)
 
-(* The one place [Too_many] is decided. A candidate cap below the limit
-   expires before the limit could be reached, so such a run degrades to
-   anytime instead of refusing. *)
+let count_candidates t ~buffer_width =
+  let fit, cap = fitting t ~buffer_width in
+  count_fitting t ~fit ~cap
+
+(* An admitted run: the limit is settled, and the bound table is built
+   for this run's width only. [a_ub.(i).(min c a_cap lsr a_shift)] is
+   ub(i, c) — exactly when [a_shift = 0], an upper bound otherwise.
+   Remaining widths past [a_cap] read the last column, which already
+   admits every fitting slot. Rows of the slots past the fitting ones
+   share one all-zero row, as no such slot fits. Rows are separate arrays
+   so that, at any buffer width under 256 bits, each is a short-lived
+   minor-heap block rather than one large block allocated straight into
+   the major heap on every run. *)
+type admitted = {
+  a_kernel : t;
+  a_width : int;
+  a_count : int;
+  a_cap : int;
+  a_shift : int;
+  a_ub : float array array;
+}
+
+(* The table holds at most this many floats (8 MiB). A wider pool or
+   buffer coarsens the widths instead: with every width and column
+   shifted right by [shift], a subset whose widths fit [c] has shifted
+   widths that fit [c lsr shift] (floor(a/s) + floor(b/s) ≤
+   floor((a+b)/s)), so the coarse optimum still bounds the exact one from
+   above — only less tightly. Any practical run has [shift = 0], where
+   the table is the exact knapsack optimum. *)
+let max_bound_cells = 1 lsl 20
+
+(* ub(i, c) = max(ub(i+1, c), term(i) + ub(i+1, c - width(i))) — the
+   best term sum over slots ≥ i within width c. *)
+let bound_table t ~fit ~cap =
+  let shift = ref 0 in
+  while cap lsr !shift > 0 && (fit + 1) * ((cap lsr !shift) + 1) > max_bound_cells do
+    incr shift
+  done;
+  let shift = !shift in
+  let ub = Array.make (Array.length t.k_pool + 1) (Array.make ((cap lsr shift) + 1) 0.0) in
+  for i = fit - 1 downto 0 do
+    let w = t.k_widths.(i) lsr shift and term = t.k_terms.(i) in
+    let next = ub.(i + 1) in
+    let row = Array.copy next in
+    for c = w to Array.length row - 1 do
+      let take = term +. Array.unsafe_get next (c - w) in
+      if take > Array.unsafe_get row c then Array.unsafe_set row c take
+    done;
+    ub.(i) <- row
+  done;
+  (shift, ub)
+
+(* The one place [Too_many] is decided, and the only way to a walk. A
+   candidate cap below the limit expires before the limit could be
+   reached, so such a run degrades to anytime instead of refusing. The
+   bound table is built only once the count is accepted. *)
 let admit t ~limit ~max_candidates ~buffer_width =
-  let total = count_candidates t ~buffer_width in
+  let fit, cap = fitting t ~buffer_width in
+  let count = count_fitting t ~fit ~cap in
   (match max_candidates with
   | Some m when m < limit -> ()
-  | _ -> if total > limit then raise (Combination.Too_many limit));
-  total
+  | _ -> if count > limit then raise (Combination.Too_many limit));
+  let shift, ub = bound_table t ~fit ~cap in
+  { a_kernel = t; a_width = buffer_width; a_count = count; a_cap = cap; a_shift = shift; a_ub = ub }
+
+let count a = a.a_count
+
+let upper_bound a ~slot ~width =
+  if slot < 0 || slot > Array.length a.a_kernel.k_pool || width < 0 then
+    invalid_arg "Kernel.upper_bound: slot or width out of range";
+  a.a_ub.(slot).(Int.min width a.a_cap lsr a.a_shift)
 
 (* ------------------------------------------------------------------ *)
 (* The walks *)
@@ -251,12 +321,18 @@ let bound_inflation = 1.0 +. 1e-9
 (* The fast walk, for plain exact selections: every leaf is scored, so
    with no tick (see [admit]) a leaf is just one float compare — and
    whole subtrees whose inflated upper bound cannot reach the best-so-far
-   are skipped without visiting them. Surviving leaves are emitted in
-   skip-before-take order with the ascending-slot float association. The
-   pool is width-ascending, so the moment [widths.(i) > remaining] the
-   subtree collapses to its single skip-only leaf. *)
-let walk_task_fast t plan idx c =
-  let widths = t.k_widths and terms = t.k_terms and suffix = t.k_suffix in
+   are skipped without visiting them. The pool is width-ascending, so the
+   moment [widths.(i) > remaining] the subtree collapses to its single
+   skip-only leaf. At every other node the walk descends first into the
+   branch with the higher bound (take on a tie), so its first leaf is the
+   knapsack optimum up to float association and the rest of the walk
+   prunes against it. The order decides only which leaves are pruned,
+   never the answer: the best under {!better} is unique, and a leaf that
+   could win or tie is never pruned. *)
+let walk_task_fast a plan idx c =
+  let t = a.a_kernel in
+  let widths = t.k_widths and terms = t.k_terms in
+  let ub = a.a_ub and cap = a.a_cap and shift = a.a_shift in
   let n = Array.length t.k_pool in
   let stack = c.stack and gains = c.gains in
   let depth0, bits0 = prefix_of_task t plan idx c in
@@ -265,17 +341,33 @@ let walk_task_fast t plan idx c =
     if i = n then begin
       if depth > 0 && gain >= c.bg then consider t c gain bits stack depth
     end
-    else if (gain +. Array.unsafe_get suffix i) *. bound_inflation < c.bg then ()
+    else if
+      (gain +. Array.unsafe_get (Array.unsafe_get ub i) (Int.min remaining cap lsr shift))
+      *. bound_inflation
+      < c.bg
+    then ()
     else begin
       let w = Array.unsafe_get widths i in
       if w > remaining then begin
         if depth > 0 && gain >= c.bg then consider t c gain bits stack depth
       end
       else begin
-        go (i + 1) remaining depth bits;
-        Array.unsafe_set stack depth i;
-        Array.unsafe_set gains (depth + 1) (gain +. Array.unsafe_get terms i);
-        go (i + 1) (remaining - w) (depth + 1) (bits + w)
+        let next = Array.unsafe_get ub (i + 1) and term = Array.unsafe_get terms i in
+        if
+          term +. Array.unsafe_get next (Int.min (remaining - w) cap lsr shift)
+          >= Array.unsafe_get next (Int.min remaining cap lsr shift)
+        then begin
+          Array.unsafe_set stack depth i;
+          Array.unsafe_set gains (depth + 1) (gain +. term);
+          go (i + 1) (remaining - w) (depth + 1) (bits + w);
+          go (i + 1) remaining depth bits
+        end
+        else begin
+          go (i + 1) remaining depth bits;
+          Array.unsafe_set stack depth i;
+          Array.unsafe_set gains (depth + 1) (gain +. term);
+          go (i + 1) (remaining - w) (depth + 1) (bits + w)
+        end
       end
     end
   in
@@ -285,8 +377,10 @@ let walk_task_fast t plan idx c =
    fitting strict superset exists: every pool message is taken or skipped
    along the path, so that holds exactly when the narrowest skipped
    message no longer fits the remaining width. *)
-let walk_task t plan idx ~only_maximal ~incumbent ~budget c =
-  let widths = t.k_widths and terms = t.k_terms and suffix = t.k_suffix in
+let walk_task a plan idx ~only_maximal ~incumbent ~budget c =
+  let t = a.a_kernel in
+  let widths = t.k_widths and terms = t.k_terms in
+  let ub = a.a_ub and cap = a.a_cap and shift = a.a_shift in
   let n = Array.length t.k_pool in
   let stack = c.stack and gains = c.gains in
   let depth0, bits0 = prefix_of_task t plan idx c in
@@ -294,8 +388,11 @@ let walk_task t plan idx ~only_maximal ~incumbent ~budget c =
   let rec go i remaining min_skipped depth bits =
     let gain = Array.unsafe_get gains depth in
     if i = n then leaf remaining min_skipped depth bits
-    else if (gain +. Array.unsafe_get suffix i) *. bound_inflation < !inc then
-      c.pruned <- c.pruned + 1
+    else if
+      (gain +. Array.unsafe_get (Array.unsafe_get ub i) (Int.min remaining cap lsr shift))
+      *. bound_inflation
+      < !inc
+    then c.pruned <- c.pruned + 1
     else begin
       let w = Array.unsafe_get widths i in
       if w > remaining then leaf remaining (Int.min min_skipped w) depth bits
@@ -367,7 +464,8 @@ type search = {
   s_complete : bool;
 }
 
-let search ?(only_maximal = false) ~jobs ~seeds ~budget t ~buffer_width =
+let search ?(only_maximal = false) ~jobs ~seeds ~budget a =
+  let t = a.a_kernel and buffer_width = a.a_width in
   (* a usable seed names only pool messages, is non-empty, and fits the
      buffer — i.e. it is a candidate of this run, so its exact re-scored
      gain lower-bounds the best achievable gain *)
@@ -382,7 +480,7 @@ let search ?(only_maximal = false) ~jobs ~seeds ~budget t ~buffer_width =
   let plan = plan t ~buffer_width in
   let cells =
     fan_out t ~jobs ~stop:(fun () -> Budget.expired budget) plan (fun idx c ->
-        try walk_task t plan idx ~only_maximal ~incumbent ~budget c with Budget.Expired -> ())
+        try walk_task a plan idx ~only_maximal ~incumbent ~budget c with Budget.Expired -> ())
   in
   {
     s_best = best_of_cells t cells;
@@ -401,10 +499,10 @@ type selection = {
 }
 
 let select_exact ?(only_maximal = false) ~limit ~jobs t ~buffer_width =
-  let streamed = admit t ~limit ~max_candidates:None ~buffer_width in
+  let a = admit t ~limit ~max_candidates:None ~buffer_width in
   let found, scored =
     if only_maximal then
-      let s = search ~only_maximal ~jobs ~seeds:[] ~budget:(Budget.make ()) t ~buffer_width in
+      let s = search ~only_maximal ~jobs ~seeds:[] ~budget:(Budget.make ()) a in
       (s.s_best, s.s_scored)
     else
       (* a sequential run walks the whole tree as one task: no plan to
@@ -413,12 +511,12 @@ let select_exact ?(only_maximal = false) ~limit ~jobs t ~buffer_width =
         if jobs <= 1 then Combination.plan ~depth:0 (Array.to_list t.k_pool) ~width:buffer_width
         else plan t ~buffer_width
       in
-      let cells = fan_out t ~jobs ~stop:(fun () -> false) plan (walk_task_fast t plan) in
-      (best_of_cells t cells, streamed)
+      let cells = fan_out t ~jobs ~stop:(fun () -> false) plan (walk_task_fast a plan) in
+      (best_of_cells t cells, a.a_count)
   in
   Option.map
     (fun c ->
-      { sel_messages = messages t c; sel_gain = c.c_gain; sel_streamed = streamed; sel_scored = scored })
+      { sel_messages = messages t c; sel_gain = c.c_gain; sel_streamed = a.a_count; sel_scored = scored })
     found
 
 (* ------------------------------------------------------------------ *)

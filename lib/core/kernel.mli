@@ -2,11 +2,18 @@
 
     Precomputes per-message statistics of an interleaved flow into flat
     arrays over the canonical (width-ascending) pool — trace widths, gain
-    terms, suffix term sums, and per-message destination-state bitsets
-    ({!Bitset}) — and walks the width-pruned subset tree on ints and
-    floats only, allocating nothing per take; coverage becomes a
-    word-OR/popcount fold. A candidate on the walk is a depth-indexed
-    stack of taken pool slots, so any pool size works.
+    terms and per-message destination-state bitsets ({!Bitset}) — and
+    walks the width-pruned subset tree on ints and floats only, allocating
+    nothing per take; coverage becomes a word-OR/popcount fold. A
+    candidate on the walk is a depth-indexed stack of taken pool slots, so
+    any pool size works.
+
+    Every walk prunes on a width-aware knapsack bound: a node at slot [i]
+    with [remaining] bits is skipped when its prefix gain plus the best
+    term sum over slots ≥ [i] that fits [remaining] — inflated to cover
+    float re-association — falls strictly below the best-so-far. The
+    bound table behind it belongs to one admitted run ({!admit}), not to
+    the kernel.
 
     Bit-identity contract: takes along any root-to-leaf walk path happen
     in ascending slot order, so every candidate's gain equals, bit for
@@ -14,15 +21,15 @@
     scored by [Select.step2]) computes for it; the unique best under
     {!better} is therefore the list oracle's answer — same names, same
     gain bits, same [bits_used] — at any job count. Counts and the
-    [Combination.Too_many] decision come from {!count_candidates} before
-    any walk starts. *)
+    [Combination.Too_many] decision come from {!admit} before any walk
+    starts. *)
 
 type t
 
 (** [make inter] precomputes the kernel: takes the evaluator from
     [Infogain.evaluator inter] (a build on a miss of its one-slot cache),
-    then the term and width arrays, the suffix sums and the per-message
-    state bitsets. One O(pool + edges) pass; the result is immutable and
+    then the term and width arrays and the per-message state bitsets.
+    One O(pool + edges) pass; the result is immutable and
     safe to share read-only across domains. The kernel keeps its
     interleaving and evaluator, so a caller that holds it — a daemon
     session — scores that interleaving again without any rebuild. *)
@@ -74,7 +81,7 @@ val better : t -> candidate -> candidate -> bool
 (** [merge k a b] keeps the better of two optional bests. *)
 val merge : t -> candidate option -> candidate option -> candidate option
 
-(** {1 Counting and the limit} *)
+(** {1 Counting, the limit and the bound} *)
 
 (** [count_candidates k ~buffer_width] is the number of non-empty pool
     subsets that fit the buffer — exactly the leaves a full walk visits —
@@ -82,12 +89,32 @@ val merge : t -> candidate option -> candidate option -> candidate option
     practical limit. *)
 val count_candidates : t -> buffer_width:int -> int
 
+(** An admitted run of one kernel at one buffer width: its candidate
+    count and its bound table. Every walk takes one, so no walk starts
+    before the limit is settled. Immutable; shareable across domains. *)
+type admitted
+
 (** [admit k ~limit ~max_candidates ~buffer_width] is the single
-    enumeration guard of every exact run: it returns the candidate count,
-    and raises [Combination.Too_many limit] when that count exceeds
-    [limit] — unless a [max_candidates] cap below [limit] would stop the
-    run first, in which case the run degrades to anytime instead. *)
-val admit : t -> limit:int -> max_candidates:int option -> buffer_width:int -> int
+    enumeration guard of every exact run. It counts the candidates and
+    raises [Combination.Too_many limit] when that count exceeds [limit] —
+    unless a [max_candidates] cap below [limit] would stop the run first,
+    in which case the run degrades to anytime instead. Only then does it
+    build the run's bound table: a knapsack DP in O(fitting slots ·
+    width), the same shape as the count (at most 2{^20} cells; a larger
+    table coarsens widths by a power of two and bounds less tightly, never
+    unsoundly). *)
+val admit : t -> limit:int -> max_candidates:int option -> buffer_width:int -> admitted
+
+(** The candidate count {!admit} settled — {!count_candidates}. *)
+val count : admitted -> int
+
+(** [upper_bound a ~slot ~width] is the bound-table entry the walks read:
+    the best sum of gain terms over pool slots ≥ [slot] whose trace widths
+    total at most [width] (0 past the last fitting slot), in the table's
+    own float association. A [width] past the run's buffer width reads as
+    the buffer width. Raises [Invalid_argument] outside
+    [0 ≤ slot ≤ n_messages], [width ≥ 0]. *)
+val upper_bound : admitted -> slot:int -> width:int -> float
 
 (** {1 The ticked walk} *)
 
@@ -100,8 +127,8 @@ val cell : t -> cell
 (** The cell's best candidate so far. *)
 val best : cell -> candidate option
 
-(** [walk_task k plan i ~only_maximal ~incumbent ~budget c] walks task
-    [i] of [plan] (built by {!plan}), ticking [budget] once per visited
+(** [walk_task a plan i ~only_maximal ~incumbent ~budget c] walks task
+    [i] of [plan] (built by {!plan} at [a]'s width), ticking [budget] once per visited
     leaf and folding scored leaves into [c]. [only_maximal] scores only
     inclusion-maximal candidates. Subtrees whose inflated upper bound is
     strictly below the task-local incumbent (initially [incumbent], then
@@ -109,7 +136,7 @@ val best : cell -> candidate option
     exact whenever it beats or ties [incumbent]. Raises {!Budget.Expired}
     mid-walk; [c] then holds the best of the leaves visited so far. *)
 val walk_task :
-  t ->
+  admitted ->
   Combination.plan ->
   int ->
   only_maximal:bool ->
@@ -131,23 +158,17 @@ type search = {
   s_complete : bool;
 }
 
-(** [search ~jobs ~seeds ~budget k ~buffer_width] runs the ticked walk
-    over every task of {!plan} across [jobs] domains. Each seed (a
+(** [search ~jobs ~seeds ~budget a] runs the ticked walk over every task
+    of {!plan} at [a]'s width across [jobs] domains. Each seed (a
     candidate as message names, typically a journalled best of a prior
     run) is re-scored under this kernel; seeds naming unknown messages,
     empty ones and ones that no longer fit are dropped, and the best seed
     gain becomes the pruning incumbent — which can never exclude a leaf
     that would win or tie, so a complete search returns the exact best.
     On budget expiry the search stops and returns the best of the leaves
-    visited. Does not check the limit: call {!admit} first. *)
+    visited. *)
 val search :
-  ?only_maximal:bool ->
-  jobs:int ->
-  seeds:string list list ->
-  budget:Budget.t ->
-  t ->
-  buffer_width:int ->
-  search
+  ?only_maximal:bool -> jobs:int -> seeds:string list list -> budget:Budget.t -> admitted -> search
 
 (** {1 Exact selection} *)
 
@@ -164,8 +185,9 @@ type selection = {
 }
 
 (** [select_exact ~limit ~jobs k ~buffer_width] is the exact Step-1/2
-    selection: {!admit}, then the tick-free fast walk (bound-pruned against
-    the best-so-far) across [jobs] domains — or, with [only_maximal], an
+    selection: {!admit}, then the tick-free fast walk across [jobs]
+    domains — bound-pruned against the best-so-far, and descending first
+    into the branch with the higher bound — or, with [only_maximal], an
     unbudgeted {!search}. [None] when no message fits. Raises
     [Combination.Too_many] past [limit] candidates. *)
 val select_exact :

@@ -98,10 +98,15 @@ let step2 inter candidates =
       let gain, _, _ = best_score in
       (best_combo, gain)
 
-(* The greedy walk over a given evaluator: a caller holding a kernel
-   passes its evaluator, so the global one-slot cache is never consulted. *)
-let greedy_with ev inter ~buffer_width =
-  let pool = Interleave.messages inter in
+let no_fit () = invalid_arg "Select: no message fits the trace buffer"
+
+(* The greedy walk on a kernel: picks by the kernel's evaluator and
+   scores the pick as the ascending-slot term sum — the float association
+   of every kernel walk — so a greedy gain compares with an exact one
+   without ulp noise, and nothing rescans the interleaving. *)
+let greedy k ~buffer_width =
+  let ev = Kernel.evaluator k in
+  let pool = Interleave.messages (Kernel.interleave k) in
   let rec go selected remaining pool =
     let candidates =
       List.filter (fun (m : Message.t) -> Message.trace_width m <= remaining) pool
@@ -135,32 +140,29 @@ let greedy_with ev inter ~buffer_width =
               (remaining - Message.trace_width m)
               (List.filter (fun m' -> not (Message.equal_name m m')) pool))
   in
-  go [] buffer_width pool
-
-let greedy inter ~buffer_width = greedy_with (Infogain.evaluator inter) inter ~buffer_width
+  let combo = go [] buffer_width pool in
+  if combo = [] then no_fit ();
+  let names = List.map (fun (m : Message.t) -> m.Message.name) combo in
+  (combo, (Option.get (Kernel.candidate_of_names k names)).Kernel.c_gain)
 
 let strategies = [ ("exact", Exact); ("exact-maximal", Exact_maximal); ("greedy", Greedy) ]
 let strategy_name s = fst (List.find (fun (_, s') -> s' = s) strategies)
 let strategy_of_name name = List.assoc_opt name strategies
 
-let no_fit () = invalid_arg "Select: no message fits the trace buffer"
-
-let greedy_fallback ev inter ~buffer_width =
-  let combo = greedy_with ev inter ~buffer_width in
-  if combo = [] then no_fit ();
+let greedy_fallback k ~buffer_width =
+  let combo, gain = greedy k ~buffer_width in
   Tel.Counter.incr c_degraded;
-  (combo, Infogain.of_combination inter combo, Tier.Greedy_fallback)
+  (combo, gain, Tier.Greedy_fallback)
 
 (* Budgeted and seeded runs: the kernel's ticked walk. A deadline already
    past on entry walks nothing; otherwise the limit is settled upfront and
    an expired budget degrades to the best of the leaves visited. *)
-let search ~maximal ~limit ~jobs ~deadline ~max_candidates ~seeds k inter ~buffer_width =
+let search ~maximal ~limit ~jobs ~deadline ~max_candidates ~seeds k ~buffer_width =
   let budget = Budget.make ?deadline ?max_candidates () in
-  let ev = Kernel.evaluator k in
-  if Budget.already_expired budget then (greedy_fallback ev inter ~buffer_width, None)
+  if Budget.already_expired budget then (greedy_fallback k ~buffer_width, None)
   else begin
-    let total = Kernel.admit k ~limit ~max_candidates ~buffer_width in
-    let s = Kernel.search ~only_maximal:maximal ~jobs ~seeds ~budget k ~buffer_width in
+    let a = Kernel.admit k ~limit ~max_candidates ~buffer_width in
+    let s = Kernel.search ~only_maximal:maximal ~jobs ~seeds ~budget a in
     let answer =
       match s.Kernel.s_best with
       | Some c when s.Kernel.s_complete -> (Kernel.messages k c, c.Kernel.c_gain, Tier.Exact)
@@ -168,9 +170,9 @@ let search ~maximal ~limit ~jobs ~deadline ~max_candidates ~seeds k inter ~buffe
           Tel.Counter.incr c_degraded;
           ( Kernel.messages k c,
             c.Kernel.c_gain,
-            Tier.Anytime { explored = s.Kernel.s_explored; total } )
+            Tier.Anytime { explored = s.Kernel.s_explored; total = Kernel.count a } )
       | None when s.Kernel.s_complete -> no_fit ()
-      | None -> greedy_fallback ev inter ~buffer_width
+      | None -> greedy_fallback k ~buffer_width
     in
     (answer, Some s)
   end
@@ -189,18 +191,13 @@ let step1_step2 ?(strategy = Exact) ?(limit = Combination.default_limit) ?(jobs 
       Flowtrace_telemetry.Event.
         [ ("strategy", Str (strategy_name strategy)); ("jobs", Int jobs); ("width", Int buffer_width) ])
   @@ fun () ->
+  let k = match kernel with Some k -> k | None -> Kernel.make inter in
   match strategy with
   | Greedy ->
-      let ev =
-        match kernel with Some k -> Kernel.evaluator k | None -> Infogain.evaluator inter
-      in
-      let combo = greedy_with ev inter ~buffer_width in
-      if combo = [] then no_fit ();
-      let gain = Infogain.of_combination inter combo in
-      (combo, gain, Tier.Exact, kernel)
+      let combo, gain = greedy k ~buffer_width in
+      (combo, gain, Tier.Exact, Some k)
   | Exact | Exact_maximal ->
       let maximal = strategy = Exact_maximal in
-      let k = match kernel with Some k -> k | None -> Kernel.make inter in
       if deadline = None && max_candidates = None then begin
         match Kernel.select_exact ~only_maximal:maximal ~limit ~jobs k ~buffer_width with
         | None -> no_fit ()
@@ -214,7 +211,7 @@ let step1_step2 ?(strategy = Exact) ?(limit = Combination.default_limit) ?(jobs 
       end
       else
         let (combo, gain, tier), s =
-          search ~maximal ~limit ~jobs ~deadline ~max_candidates ~seeds:[] k inter ~buffer_width
+          search ~maximal ~limit ~jobs ~deadline ~max_candidates ~seeds:[] k ~buffer_width
         in
         Option.iter (fun s -> Tel.Counter.add c_streamed s.Kernel.s_explored) s;
         (combo, gain, tier, Some k)
@@ -287,7 +284,7 @@ let reselect ?(strategy = Exact) ?(limit = Combination.default_limit) ?(jobs = 1
       let k = Kernel.make inter in
       let (combo, gain, tier), s =
         search ~maximal:(strategy = Exact_maximal) ~limit ~jobs ~deadline ~max_candidates ~seeds
-          k inter ~buffer_width
+          k ~buffer_width
       in
       let result = finalize ?pack ?scale_partial ~tier ~kernel:k inter ~combo ~gain ~buffer_width in
       match s with

@@ -121,12 +121,15 @@ val select :
   buffer_width:int ->
   result
 
-(** [greedy inter ~buffer_width] is the Step-2 greedy baseline on its own:
+(** [greedy k ~buffer_width] is the Step-2 greedy baseline on its own:
     repeatedly add the highest-marginal-gain message that still fits.
-    Returns the chosen combination ([[]] when nothing fits) — the fallback
-    external engines use when a budget expires before any exact candidate
-    completes. *)
-val greedy : Interleave.t -> buffer_width:int -> Message.t list
+    Returns the chosen combination in pick order and its gain, scored on
+    the kernel as the ascending-slot term sum ({!Kernel.candidate_of_names})
+    — the float association of every exact walk, so a greedy gain never
+    exceeds the exact gain at the same width, not even by an ulp. The
+    fallback external engines use when a budget expires before any exact
+    candidate completes. Raises [Invalid_argument] when no message fits. *)
+val greedy : Kernel.t -> buffer_width:int -> Message.t list * float
 
 (** [finalize inter ~combo ~gain ~buffer_width] runs Step 3 packing and
     coverage over an already-chosen Step-2 combination and assembles the

@@ -205,10 +205,10 @@ let select ?(strategy = Select.Exact) ?(limit = Combination.default_limit) ?(job
                   end)
             in
             (* -------- the supervised run -------- *)
-            let run_task t =
+            let run_task a t =
               let cell = Kernel.cell k in
               match
-                Kernel.walk_task k plan t ~only_maximal ~incumbent:neg_infinity ~budget cell
+                Kernel.walk_task a plan t ~only_maximal ~incumbent:neg_infinity ~budget cell
               with
               | () -> publish t (Kernel.best cell)
               | exception (Budget.Expired as e) ->
@@ -224,10 +224,10 @@ let select ?(strategy = Select.Exact) ?(limit = Combination.default_limit) ?(job
                   stopped = Array.length pending > 0;
                 }
               else begin
-                ignore (Kernel.admit k ~limit ~max_candidates ~buffer_width);
+                let a = Kernel.admit k ~limit ~max_candidates ~buffer_width in
                 Supervisor.run ~jobs ~retries ?backoff
                   ~should_stop:(function Budget.Expired -> true | _ -> false)
-                  ?inject ~tasks:pending run_task
+                  ?inject ~tasks:pending (run_task a)
               end
             in
             Mutex.protect mutex (fun () ->
@@ -268,11 +268,8 @@ let select ?(strategy = Select.Exact) ?(limit = Combination.default_limit) ?(job
                     (Select.Tier.Anytime { explored; total })
                     (Kernel.messages k c) c.Kernel.c_gain Partial
               | None ->
-                  let combo = Select.greedy inter ~buffer_width in
-                  if combo = [] then invalid_arg "Select: no message fits the trace buffer";
-                  finalize Select.Tier.Greedy_fallback combo
-                    (Infogain.of_combination inter combo)
-                    Partial
+                  let combo, gain = Select.greedy k ~buffer_width in
+                  finalize Select.Tier.Greedy_fallback combo gain Partial
             end)
         |> Result.ok
       with Reject ds -> Error ds)

@@ -185,19 +185,18 @@ let selected_field (r : Select.result) =
   Json.List (List.map (fun n -> Json.String n) (Select.selected_names r))
 
 (* The session's kernel, and with it its evaluator: built once, on the
-   first exact select or localize — never at open, so opening stays as
-   cheap as before — and reused by every later one. The caller holds the
-   session's shard lock. A plain option set only after [Kernel.make]
-   returns, so a failed build is retried next time instead of being
-   remembered. Greedy sessions keep the kernel-free path. *)
+   first select or localize — never at open, so opening stays as cheap as
+   before — and reused by every later one, whatever the strategy (greedy
+   scores its pick on the kernel too). The caller holds the session's
+   shard lock. A plain option set only after [Kernel.make] returns, so a
+   failed build is retried next time instead of being remembered. *)
 let kernel_of (e : entry) =
-  match e.e_session.Store.se_strategy with
-  | Select.Greedy -> None
-  | Select.Exact | Select.Exact_maximal ->
-      (match e.e_kernel with
-      | Some _ -> ()
-      | None -> e.e_kernel <- Some (Kernel.make e.e_inter));
-      e.e_kernel
+  match e.e_kernel with
+  | Some k -> k
+  | None ->
+      let k = Kernel.make e.e_inter in
+      e.e_kernel <- Some k;
+      k
 
 let run_select (e : entry) ~width ~deadline_ms ~max_candidates ~pack =
   let s = e.e_session in
@@ -208,7 +207,7 @@ let run_select (e : entry) ~width ~deadline_ms ~max_candidates ~pack =
   match
     Op.guard ~buffer_width (fun () ->
         Select.select ~strategy:s.Store.se_strategy ?deadline ?max_candidates ~pack
-          ?kernel:(kernel_of e) e.e_inter ~buffer_width)
+          ~kernel:(kernel_of e) e.e_inter ~buffer_width)
   with
   | Error e -> err "%s" (Op.message e)
   | Ok r ->
@@ -228,7 +227,7 @@ let run_localize (e : entry) ~trace ~lossy ~skip_budget ~width =
   let s = e.e_session in
   let buffer_width = Option.value ~default:s.Store.se_width width in
   match
-    Op.localize ~strategy:s.Store.se_strategy ?kernel:(kernel_of e) e.e_inter ~buffer_width
+    Op.localize ~strategy:s.Store.se_strategy ~kernel:(kernel_of e) e.e_inter ~buffer_width
       ~lossy ~skip_budget (Op.Tokens trace)
   with
   | Error e -> err "%s" (Op.message e)

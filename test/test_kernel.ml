@@ -7,9 +7,11 @@
    stress workload, random interleavings and a pool wider than one
    machine word, at jobs 1/2/4; Indexed.hash is pinned to explicit
    vectors (it must not drift, and must separate names differing only
-   deep in the string); and the kernel's candidate comparator is checked
+   deep in the string); the kernel's candidate comparator is checked
    to be a strict total order — the epsilon tie-break it replaced was not
-   transitive. *)
+   transitive; and the width-aware bound table every walk prunes on is
+   checked against a brute-force knapsack on small pools, with two
+   deliberately wrong tables that the same check must catch. *)
 
 open Flowtrace_core
 open Flowtrace_soc
@@ -311,6 +313,206 @@ let test_oversized_pool () =
   Alcotest.(check bool) "reselect = oracle" true (same_result o r)
 
 (* ------------------------------------------------------------------ *)
+(* The width-aware bound *)
+
+(* Small pools shaped to stress the bound: widths drawn from {1, 2, 3},
+   so equal widths are common; messages declared but never used, whose
+   gain terms are zero; and fan branches whose fresh messages each label
+   one edge into a state of their own — equal occurrence and target
+   counts, hence bit-identical terms and exact gain ties. A message is
+   now and then reused on a second edge, so not every term ties. *)
+let small_pool_of_seed seed =
+  let rng = Rng.create seed in
+  let states = ref [ "init"; "done" ] and messages = ref [] and transitions = ref [] in
+  let fresh () =
+    let name = Printf.sprintf "m%d" (List.length !messages) in
+    messages := Message.make name (1 + Rng.int rng 3) :: !messages;
+    name
+  in
+  for b = 0 to Rng.int rng 3 do
+    let last =
+      List.fold_left
+        (fun prev j ->
+          let s = Printf.sprintf "b%d_%d" b j in
+          states := s :: !states;
+          let m =
+            if !messages <> [] && Rng.int rng 4 = 0 then (Rng.pick rng !messages).Message.name
+            else fresh ()
+          in
+          transitions := Flow.transition prev m s :: !transitions;
+          s)
+        "init"
+        (List.init (1 + Rng.int rng 2) Fun.id)
+    in
+    transitions := Flow.transition last (fresh ()) "done" :: !transitions
+  done;
+  for _ = 1 to Rng.int rng 3 do
+    ignore (fresh ())
+  done;
+  let f =
+    Flow.make ~name:"p" ~states:(List.rev !states) ~initial:[ "init" ] ~stop:[ "done" ]
+      ~messages:(List.rev !messages) ~transitions:(List.rev !transitions) ()
+  in
+  let inter = Interleave.make [ { Interleave.flow = f; index = 1 } ] in
+  let widths = List.map Message.trace_width (Interleave.messages inter) in
+  let minw = List.fold_left min max_int widths and total = List.fold_left ( + ) 0 widths in
+  (inter, minw + (seed mod (total - minw + 1)))
+
+let pool_widths_terms k =
+  let pool = Kernel.pool k in
+  (Array.map Message.trace_width pool, Infogain.terms (Kernel.evaluator k) pool)
+
+(* The best term sum over slots ≥ i within width c, by enumerating every
+   subset of those slots and summing in ascending slot order — the walk's
+   own leaf association. *)
+let brute_best ~widths ~terms i c =
+  let n = Array.length widths in
+  let rec go j width gain =
+    if j = n then gain
+    else
+      let skip = go (j + 1) width gain in
+      if width + widths.(j) > c then skip
+      else Float.max skip (go (j + 1) (width + widths.(j)) (gain +. terms.(j)))
+  in
+  go i 0 0.0
+
+let inflation = 1.0 +. 1e-9
+
+(* [ub] agrees with the brute-force knapsack at every slot and every width
+   up to the buffer: never below it once inflated (the walks' soundness)
+   and never above its inflation (exact, so pruning is as tight as it
+   can be). *)
+let table_agrees ~widths ~terms ~buffer_width ub =
+  let ok = ref true in
+  for i = 0 to Array.length widths do
+    for c = 0 to buffer_width do
+      let b = brute_best ~widths ~terms i c and u = ub i c in
+      if not (u *. inflation >= b && b *. inflation >= u) then ok := false
+    done
+  done;
+  !ok
+
+let prop_bound_table_is_knapsack_optimum =
+  QCheck.Test.make ~name:"bound table = brute-force best fitting term sum" ~count:100 seed_arb
+    (fun seed ->
+      let inter, buffer_width = small_pool_of_seed seed in
+      let k = Kernel.make inter in
+      let a = Kernel.admit k ~limit:Combination.default_limit ~max_candidates:None ~buffer_width in
+      let widths, terms = pool_widths_terms k in
+      table_agrees ~widths ~terms ~buffer_width (fun slot width ->
+          Kernel.upper_bound a ~slot ~width))
+
+(* Two plausible ways to get the DP wrong, on the same pool arrays. *)
+let wrong_table ~skip_branch ~row_offset ~widths ~terms =
+  let n = Array.length widths in
+  let memo = Hashtbl.create 64 in
+  let rec ub i c =
+    if i >= n then 0.0
+    else
+      match Hashtbl.find_opt memo (i, c) with
+      | Some v -> v
+      | None ->
+          let skip = ub (i + 1) c in
+          let v =
+            if widths.(i) > c then skip
+            else
+              let take = terms.(i) +. ub (i + 1) (c - widths.(i)) in
+              if skip_branch then Float.max skip take else take
+          in
+          Hashtbl.replace memo (i, c) v;
+          v
+  in
+  fun i c -> ub (i + row_offset) c
+
+let test_wrong_tables_caught () =
+  List.iter
+    (fun (what, skip_branch, row_offset) ->
+      let caught =
+        List.exists
+          (fun seed ->
+            let inter, buffer_width = small_pool_of_seed seed in
+            let widths, terms = pool_widths_terms (Kernel.make inter) in
+            not
+              (table_agrees ~widths ~terms ~buffer_width
+                 (wrong_table ~skip_branch ~row_offset ~widths ~terms)))
+          (List.init 50 Fun.id)
+      in
+      Alcotest.(check bool) (what ^ " fails the bound check") true caught)
+    [ ("a table without the skip branch", false, 0); ("a table reading row i+1 for slot i", true, 1) ];
+  (* and the check's reference DP itself, used correctly, passes *)
+  let inter, buffer_width = small_pool_of_seed 7 in
+  let widths, terms = pool_widths_terms (Kernel.make inter) in
+  Alcotest.(check bool) "the correct DP passes" true
+    (table_agrees ~widths ~terms ~buffer_width
+       (wrong_table ~skip_branch:true ~row_offset:0 ~widths ~terms))
+
+(* Six messages hundreds of thousands of bits wide under a one-megabit
+   buffer: the exact table would need millions of cells, so [admit]
+   coarsens widths by a power of two. The coarse table must still bound
+   every fitting term sum from above, and the walks that prune on it
+   must still return the list oracle's answer. *)
+let test_coarse_table_still_bounds () =
+  let widths = [| 300_001; 250_003; 200_000; 350_017; 400_009; 210_011 |] in
+  let msg i = Printf.sprintf "w%d" i and state i = Printf.sprintf "s%d" i in
+  let n = Array.length widths in
+  let f =
+    Flow.make ~name:"wide" ~states:("init" :: "done" :: List.init n state) ~initial:[ "init" ]
+      ~stop:[ "done" ]
+      ~messages:(Array.to_list (Array.mapi (fun i w -> Message.make (msg i) w) widths))
+      ~transitions:
+        (List.init n (fun i -> Flow.transition "init" (msg i) (state i))
+        @ List.init n (fun i -> Flow.transition (state i) (msg ((i + 1) mod n)) "done"))
+      ()
+  in
+  let inter = Interleave.make [ { Interleave.flow = f; index = 1 } ] in
+  let buffer_width = 1_000_000 in
+  let k = Kernel.make inter in
+  let a = Kernel.admit k ~limit:Combination.default_limit ~max_candidates:None ~buffer_width in
+  let widths, terms = pool_widths_terms k in
+  for i = 0 to n do
+    List.iter
+      (fun c ->
+        Alcotest.(check bool)
+          (Printf.sprintf "coarse ub(%d, %d) bounds the brute force" i c)
+          true
+          (Kernel.upper_bound a ~slot:i ~width:c *. inflation >= brute_best ~widths ~terms i c))
+      [ 0; 199_999; 200_000; 450_002; 650_003; buffer_width ]
+  done;
+  check_kernel_equals_oracle "coarse table" inter ~buffer_width;
+  check_kernel_equals_oracle "coarse table/maximal" ~strategy:Select.Exact_maximal inter
+    ~buffer_width
+
+(* Every strategy against brute force on the same pools: exact and
+   exact-maximal equal the list oracle on names, gain bits, coverage bits
+   and bits_used at jobs 1/2/4, plain and under budgets that never
+   expire; greedy never beats exact — a plain float compare, since both
+   sum their terms in ascending slot order. *)
+let prop_strategies_match_brute_force =
+  QCheck.Test.make ~name:"exact, exact-maximal and greedy vs brute force on small pools"
+    ~count:60 seed_arb (fun seed ->
+      let inter, buffer_width = small_pool_of_seed seed in
+      let far = Unix.gettimeofday () +. 3600.0 in
+      let exact_ok strategy =
+        let o = list_oracle ~strategy inter ~buffer_width in
+        List.for_all
+          (fun jobs ->
+            List.for_all
+              (fun run -> same_result o (run ~strategy ~jobs))
+              [
+                (fun ~strategy ~jobs -> Select.select ~strategy ~jobs ~pack:false inter ~buffer_width);
+                (fun ~strategy ~jobs ->
+                  Select.select ~strategy ~jobs ~deadline:far ~pack:false inter ~buffer_width);
+                (fun ~strategy ~jobs ->
+                  Select.select ~strategy ~jobs ~max_candidates:Combination.default_limit
+                    ~pack:false inter ~buffer_width);
+              ])
+          [ 1; 2; 4 ]
+      in
+      let gain strategy = (Select.select ~strategy ~pack:false inter ~buffer_width).Select.gain in
+      exact_ok Select.Exact && exact_ok Select.Exact_maximal
+      && gain Select.Greedy <= gain Select.Exact)
+
+(* ------------------------------------------------------------------ *)
 (* A prebuilt kernel *)
 
 module Tel = Flowtrace_telemetry.Telemetry
@@ -402,6 +604,13 @@ let () =
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_random_engines_identical; prop_kernel_coverage_matches_compute ] );
+      ( "knapsack bound",
+        [
+          Alcotest.test_case "wrong tables are caught" `Quick test_wrong_tables_caught;
+          Alcotest.test_case "a coarsened table still bounds" `Quick test_coarse_table_still_bounds;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_bound_table_is_knapsack_optimum; prop_strategies_match_brute_force ] );
       ( "prebuilt kernel",
         [
           Alcotest.test_case "held kernel = fresh run, no evaluator build" `Quick

@@ -554,16 +554,19 @@ let with_counters f =
 
 let scenario_spec sc = Core.Spec_parser.print_flows (Scenario.flows sc)
 
-let scenario_open ~session sc =
+let scenario_open ?strategy ~session sc =
   req
-    [
-      ("op", Json.String "open-session");
-      ("session", Json.String session);
-      ("spec", Json.String (scenario_spec sc));
-      ( "instances",
-        Json.Obj (List.map (fun (n, k) -> (n, Json.Int k)) sc.Scenario.analysis_counts) );
-      ("width", Json.Int 32);
-    ]
+    ([
+       ("op", Json.String "open-session");
+       ("session", Json.String session);
+       ("spec", Json.String (scenario_spec sc));
+       ( "instances",
+         Json.Obj (List.map (fun (n, k) -> (n, Json.Int k)) sc.Scenario.analysis_counts) );
+       ("width", Json.Int 32);
+     ]
+    @ Option.fold ~none:[]
+        ~some:(fun st -> [ ("strategy", Json.String (Core.Select.strategy_name st)) ])
+        strategy)
 
 let width_select ~session width =
   req
@@ -585,8 +588,8 @@ let fresh_inter sc =
   | Ok (inter, _) -> inter
   | Error m -> Alcotest.failf "scenario %s: %s" sc.Scenario.name m
 
-let fresh_select sc width =
-  Core.Select.select ~strategy:Core.Select.Exact (fresh_inter sc) ~buffer_width:width
+let fresh_select ?(strategy = Core.Select.Exact) sc width =
+  Core.Select.select ~strategy (fresh_inter sc) ~buffer_width:width
 
 let strings_field name line =
   match Option.bind (field name line) Json.to_list_opt with
@@ -641,8 +644,9 @@ let test_session_builds_kernel_once () =
 (* Two sessions of different scenarios on different shards, driven in
    strict alternation from two domains: a one-slot cache would rebuild on
    every request, and a kernel shared across sessions would answer one
-   session with the other's selection. *)
-let test_sessions_keep_own_kernels () =
+   session with the other's selection. Greedy sessions hold a kernel
+   too: greedy scores its pick on it. *)
+let test_sessions_keep_own_kernels ?strategy () =
   let t, _ = Dispatch.create ~shards:4 () in
   let first = "sess0" in
   let rec elsewhere n =
@@ -652,13 +656,15 @@ let test_sessions_keep_own_kernels () =
   let ids = [ first; elsewhere 1 ] in
   let plan = List.combine ids [ Scenario.scenario1; Scenario.scenario2 ] in
   let oracle =
-    List.map (fun (id, sc) -> (id, List.map (fun w -> (w, fresh_select sc w)) widths)) plan
+    List.map
+      (fun (id, sc) -> (id, List.map (fun w -> (w, fresh_select ?strategy sc w)) widths))
+      plan
   in
   with_counters @@ fun () ->
   List.iter
     (fun (id, sc) ->
       check_status ~what:("open " ^ id) ~status:"ok" ~exit:0
-        (handle t (scenario_open ~session:id sc)))
+        (handle t (scenario_open ?strategy ~session:id sc)))
     plan;
   let rounds = 3 in
   let turn = Atomic.make 0 in
@@ -740,6 +746,8 @@ let () =
           Alcotest.test_case "one build answers every width and a localize" `Quick
             test_session_builds_kernel_once;
           Alcotest.test_case "two sessions on two domains keep their own kernels" `Quick
-            test_sessions_keep_own_kernels;
+            (test_sessions_keep_own_kernels ?strategy:None);
+          Alcotest.test_case "two greedy sessions keep their own kernels" `Quick
+            (test_sessions_keep_own_kernels ~strategy:Core.Select.Greedy);
         ] );
     ]

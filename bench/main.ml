@@ -200,6 +200,12 @@ let stress_tests =
        admission, the bound table, the walk and the coverage fold *)
     Test.make ~name:"stress_walk_resident"
       (Staged.stage (fun () -> ignore (Select.select ~pack:false ~kernel inter ~buffer_width:w)));
+    (* the same select under a deadline that never expires: the budgeted
+       path (Kernel.search on the fixed-depth plan, seed incumbent) *)
+    Test.make ~name:"stress_walk_budgeted_resident"
+      (Staged.stage
+         (let deadline = Unix.gettimeofday () +. (365.0 *. 86400.0) in
+          fun () -> ignore (Select.select ~deadline ~pack:false ~kernel inter ~buffer_width:w)));
     Test.make ~name:"stress_select_exact_list"
       (Staged.stage (fun () -> ignore (select_exact_list inter ~buffer_width:w)));
     Test.make ~name:"stress_select_bitset"

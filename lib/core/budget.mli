@@ -8,9 +8,7 @@
     candidates (default {!default_stride}); the hot path costs one atomic
     increment and a couple of compares. A smaller stride tightens the
     worst-case overrun — expiry is always detected within one stride of
-    ticks past the deadline — at the price of more clock reads; the
-    service layer uses a small stride so per-request deadlines are honored
-    promptly.
+    ticks past the deadline — at the price of more clock reads.
 
     The enumeration limit is not a budget: {!Kernel.admit} settles
     [Combination.Too_many] from the exact candidate count before any walk

@@ -6,13 +6,13 @@
    [Too_many] guards against combinatorial blow-up; large scenarios should
    use the greedy strategy in {!Select}.
 
-   {!fold_candidates} streams every candidate of the width-pruned
-   subset-tree walk through a fold in constant memory; it backs the
-   materializing {!enumerate}, the brute-force reference the selection
-   kernel is tested against. {!plan} splits the same tree at a fixed
-   prefix depth into independent subtrees, which the kernel's walks fan
-   out across OCaml 5 domains. Every root-to-leaf path passes through
-   exactly one prefix, hence the tasks partition the candidate set. *)
+   {!enumerate} and {!count} walk the width-pruned subset tree as plain
+   recursions; with {!maximal_only} and [Select.step2] they are the
+   brute-force reference the selection kernel is tested against. {!plan}
+   splits the same tree at a fixed prefix depth into independent
+   subtrees, which the kernel's walk fans out across OCaml 5 domains.
+   Every root-to-leaf path passes through exactly one prefix, hence the
+   tasks partition the candidate set. *)
 
 exception Too_many of int
 
@@ -28,59 +28,10 @@ let sorted_pool messages =
 
 let canonical_pool messages = Array.to_list (sorted_pool messages)
 
-(* Per-slot trace widths of a sorted pool, precomputed once so the walk's
-   hot recursion reads an int array instead of re-deriving width/beats
+(* Per-slot trace widths of a sorted pool, precomputed once so the
+   recursions below read an int array instead of re-deriving width/beats
    arithmetic at every node. *)
 let pool_widths arr = Array.map Message.trace_width arr
-
-(* The core walk. [path] is caller state threaded along the current branch
-   (extended by [take] whenever a message is added); [leaf] folds over
-   emitted candidates; [tick] fires once per non-empty candidate *before*
-   the maximality filter, so a candidate budget counts exactly what
-   materializing enumeration used to count (it may raise to abort).
-
-   With [only_maximal], a candidate is emitted only when no fitting strict
-   superset exists. Every pool message is either taken or skipped along a
-   root-to-leaf path, so that holds exactly when the narrowest skipped
-   message no longer fits the remaining width — an O(1) streaming test,
-   tracked as [min_skipped]. *)
-let walk arr warr ~start ~remaining ~taken ~min_skipped ~only_maximal ~tick ~take ~path ~leaf
-    ~init =
-  let n = Array.length arr in
-  let rec go i remaining taken min_skipped path acc =
-    if i = n then
-      if taken = 0 then acc
-      else begin
-        tick ();
-        if only_maximal && min_skipped <= remaining then acc else leaf acc path
-      end
-    else begin
-      let w = warr.(i) in
-      (* skip arr.(i) *)
-      let acc = go (i + 1) remaining taken (Int.min min_skipped w) path acc in
-      (* take arr.(i) if it fits; messages are width-sorted so if this one
-         does not fit, none of the rest do either *)
-      if w <= remaining then
-        go (i + 1) (remaining - w) (taken + 1) min_skipped (take path arr.(i)) acc
-      else acc
-    end
-  in
-  go start remaining taken min_skipped path init
-
-let fold_candidates ?(limit = default_limit) ?(only_maximal = false) messages ~width ~init ~f =
-  if width <= 0 then invalid_arg "Combination.fold_candidates: width must be positive";
-  let arr = sorted_pool messages in
-  let count = ref 0 in
-  let tick () =
-    incr count;
-    if !count > limit then raise (Too_many limit)
-  in
-  walk arr (pool_widths arr) ~start:0 ~remaining:width ~taken:0 ~min_skipped:max_int
-    ~only_maximal ~tick
-    ~take:(fun acc m -> m :: acc)
-    ~path:[]
-    ~leaf:(fun acc rev -> f acc (List.rev rev))
-    ~init
 
 (* ------------------------------------------------------------------ *)
 (* Parallel decomposition *)
@@ -117,23 +68,43 @@ let plan ?(depth = 10) messages ~width =
 let n_tasks plan = Array.length plan.p_tasks
 
 (* Plan internals for the word-parallel kernel (Kernel), which drives
-   this task decomposition with its own walks. *)
+   this task decomposition with its own walk. *)
 let task_start plan idx = plan.p_tasks.(idx).t_start
 let task_remaining plan idx = plan.p_tasks.(idx).t_remaining
 let task_min_skipped plan idx = plan.p_tasks.(idx).t_min_skipped
 let task_taken plan idx = plan.p_tasks.(idx).t_taken
 
 (* ------------------------------------------------------------------ *)
-(* Materializing conveniences, kept for callers that want explicit lists *)
+(* Reference oracles: explicit candidate lists and counts *)
 
+(* The width-pruned subset tree, skip before take at every node: [rev]
+   holds the current path's takes newest first, and each leaf with at
+   least one take is prepended to [acc] as a width-ascending list. *)
 let enumerate ?(limit = default_limit) messages ~width =
   if width <= 0 then invalid_arg "Combination.enumerate: width must be positive";
-  fold_candidates ~limit messages ~width ~init:[] ~f:(fun acc c -> c :: acc)
+  let arr = sorted_pool messages in
+  let warr = pool_widths arr in
+  let n = Array.length arr in
+  let found = ref 0 in
+  let rec go i remaining rev acc =
+    if i = n then
+      if rev = [] then acc
+      else begin
+        incr found;
+        if !found > limit then raise (Too_many limit);
+        List.rev rev :: acc
+      end
+    else
+      let acc = go (i + 1) remaining rev acc in
+      if warr.(i) <= remaining then go (i + 1) (remaining - warr.(i)) (arr.(i) :: rev) acc
+      else acc
+  in
+  go 0 width [] []
 
 (* Keep only combinations that are maximal under inclusion among those that
    fit. Because information gain is monotone in the message set, a maximal
    combination always scores at least as high as any of its subsets; the
-   exact-maximal strategy uses the equivalent streaming filter above. *)
+   kernel's walk applies the equivalent O(1) test per leaf. *)
 let maximal_only combos =
   let name_set combo =
     List.sort_uniq String.compare (List.map (fun m -> m.Message.name) combo)
@@ -151,12 +122,14 @@ let maximal_only combos =
 let count messages ~width =
   if width <= 0 then invalid_arg "Combination.count: width must be positive";
   let arr = sorted_pool messages in
-  walk arr (pool_widths arr) ~start:0 ~remaining:width ~taken:0 ~min_skipped:max_int
-    ~only_maximal:false
-    ~tick:(fun () -> ())
-    ~take:(fun () _ -> ())
-    ~path:()
-    ~leaf:(fun acc () -> acc + 1)
-    ~init:0
+  let warr = pool_widths arr in
+  let n = Array.length arr in
+  let rec go i remaining taken =
+    if i = n then if taken then 1 else 0
+    else
+      go (i + 1) remaining taken
+      + if warr.(i) <= remaining then go (i + 1) (remaining - warr.(i)) true else 0
+  in
+  go 0 width false
 
 let fits messages ~width = Message.total_width messages <= width

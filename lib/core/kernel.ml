@@ -6,8 +6,8 @@
    terms and per-slot destination-state bitsets ({!Bitset}) — so the walk
    runs on ints and floats only: a take is one slot store plus one
    array-indexed float add into the depth-indexed prefix-gain array (so it
-   allocates nothing), a leaf is a couple of register compares, and
-   coverage is a word-OR / popcount fold.
+   allocates nothing), a leaf is a budget tick and a couple of register
+   compares, and coverage is a word-OR / popcount fold.
 
    A candidate on the walk is the depth-indexed stack of its taken slots;
    it is copied out (as an ascending slot array) only when it improves the
@@ -21,7 +21,7 @@
    bit-for-bit equal, and the unique best under the deterministic
    comparator ({!better}) is the same at any job count.
 
-   Every walk runs on an admitted run ({!admit}): the candidate count, and
+   The walk runs on an admitted run ({!admit}): the candidate count, and
    with it the [Too_many] decision, is settled arithmetically by a
    knapsack-counting DP ({!count_candidates}); only then is the run's
    bound table built — a knapsack-optimum DP over the same pool and
@@ -34,18 +34,23 @@
    below the node, so no leaf that could beat or tie the final best is
    ever skipped.
 
-   Two walks share the task decomposition of {!Combination.plan}:
-   - the fast walk answers plain exact selections: no tick, bound-pruned
-     against the best-so-far;
-   - the ticked walk answers everything else — budgeted (anytime) runs,
-     exact-maximal runs, delta re-selection and the supervised task loop
-     of lib/runtime. It ticks a {!Budget} once per visited leaf and runs
-     as an exact branch-and-bound: seed candidates (typically journalled
-     bests of a previous run of a slightly different scenario) are
-     re-scored under the new terms to form an incumbent, and subtrees are
-     pruned against it on the same bound. Pruning decisions use
-     task-local incumbents only, so a task's best and its work counters
-     do not depend on which domain ran which task. *)
+   One walk ({!walk_task}) runs every exact run, over the task
+   decomposition of {!Combination.plan}. It ticks a {!Budget} once per
+   visited leaf, tracks the narrowest skipped message for exact-maximal
+   runs, descends first into the branch with the higher bound, and prunes
+   against an incumbent its caller passes in. The callers differ only in
+   plan and incumbent:
+   - {!select_exact} answers plain exact selections: a single task at one
+     job, a budget that never expires, and the domain's best-so-far as
+     each task's incumbent;
+   - {!search} answers everything else — budgeted (anytime) runs,
+     exact-maximal runs and delta re-selection; the supervised task loop
+     of lib/runtime calls the walk directly. It runs as an exact
+     branch-and-bound: seed candidates (typically journalled bests of a
+     previous run of a slightly different scenario) are re-scored under
+     the new terms to form the incumbent every task starts from, on the
+     fixed-depth plan whatever the job count, so a task's best and its
+     work counters do not depend on which domain ran which task. *)
 
 type t = {
   k_inter : Interleave.t;  (* the interleaving the kernel was built from *)
@@ -146,8 +151,8 @@ type cell = {
   mutable bb : int;
   mutable bslots : int array;  (* [||] until the first candidate *)
   mutable bkey : string list;  (* lazily built tie-break key of bslots *)
-  mutable scored : int;  (* leaves scored (ticked walk) *)
-  mutable pruned : int;  (* subtrees cut by the bound (ticked walk) *)
+  mutable scored : int;  (* leaves scored *)
+  mutable pruned : int;  (* subtrees cut by the bound *)
   stack : int array;  (* walk scratch: the taken slots of the current path *)
   gains : float array;  (* walk scratch: gains.(d) is the prefix gain at depth d *)
 }
@@ -310,7 +315,7 @@ let upper_bound a ~slot ~width =
   a.a_ub.(slot).(Int.min width a.a_cap lsr a.a_shift)
 
 (* ------------------------------------------------------------------ *)
-(* The walks *)
+(* The walk *)
 
 (* Covers the float rounding slack of re-associated non-negative sums
    (≤ ~n·2⁻⁵² relative for n terms — far below this for any pool a
@@ -318,39 +323,44 @@ let upper_bound a ~slot ~width =
    upper bound never prunes a leaf that could win or tie. *)
 let bound_inflation = 1.0 +. 1e-9
 
-(* The fast walk, for plain exact selections: every leaf is scored, so
-   with no tick (see [admit]) a leaf is just one float compare — and
-   whole subtrees whose inflated upper bound cannot reach the best-so-far
-   are skipped without visiting them. The pool is width-ascending, so the
-   moment [widths.(i) > remaining] the subtree collapses to its single
-   skip-only leaf. At every other node the walk descends first into the
-   branch with the higher bound (take on a tie), so its first leaf is the
-   knapsack optimum up to float association and the rest of the walk
-   prunes against it. The order decides only which leaves are pruned,
-   never the answer: the best under {!better} is unique, and a leaf that
-   could win or tie is never pruned. *)
-let walk_task_fast a plan idx c =
+(* The one walk. Every leaf ticks [budget] (which raises [Budget.Expired]
+   mid-walk once a deadline or cap trips), and a subtree whose inflated
+   upper bound falls strictly below the incumbent is skipped without
+   visiting it. The incumbent starts at the caller's [incumbent] and
+   rises with every visited leaf's gain. It is held in a one-cell float
+   array, not a ref: raising it then stores an unboxed float instead of
+   allocating one. The pool is width-ascending, so the moment
+   [widths.(i) > remaining] the subtree collapses to its single skip-only
+   leaf. At every other node the walk descends first into the branch with
+   the higher bound (take on a tie), so its first leaf is the knapsack
+   optimum up to float association and the rest of the walk prunes
+   against it. The order decides only which leaves are visited, never the
+   answer: the best under {!better} is unique, and a leaf that could win
+   or tie is never pruned.
+
+   With [only_maximal], a leaf is scored only when no fitting strict
+   superset exists: every pool message is taken or skipped along the
+   path, so that holds exactly when the narrowest skipped message no
+   longer fits the remaining width. *)
+let walk_task a plan idx ~only_maximal ~incumbent ~budget c =
   let t = a.a_kernel in
   let widths = t.k_widths and terms = t.k_terms in
   let ub = a.a_ub and cap = a.a_cap and shift = a.a_shift in
   let n = Array.length t.k_pool in
   let stack = c.stack and gains = c.gains in
   let depth0, bits0 = prefix_of_task t plan idx c in
-  let rec go i remaining depth bits =
+  let inc = Array.make 1 incumbent in
+  let rec go i remaining min_skipped depth bits =
     let gain = Array.unsafe_get gains depth in
-    if i = n then begin
-      if depth > 0 && gain >= c.bg then consider t c gain bits stack depth
-    end
+    if i = n then leaf remaining min_skipped depth bits
     else if
       (gain +. Array.unsafe_get (Array.unsafe_get ub i) (Int.min remaining cap lsr shift))
       *. bound_inflation
-      < c.bg
-    then ()
+      < Array.unsafe_get inc 0
+    then c.pruned <- c.pruned + 1
     else begin
       let w = Array.unsafe_get widths i in
-      if w > remaining then begin
-        if depth > 0 && gain >= c.bg then consider t c gain bits stack depth
-      end
+      if w > remaining then leaf remaining (Int.min min_skipped w) depth bits
       else begin
         let next = Array.unsafe_get ub (i + 1) and term = Array.unsafe_get terms i in
         if
@@ -359,55 +369,22 @@ let walk_task_fast a plan idx c =
         then begin
           Array.unsafe_set stack depth i;
           Array.unsafe_set gains (depth + 1) (gain +. term);
-          go (i + 1) (remaining - w) (depth + 1) (bits + w);
-          go (i + 1) remaining depth bits
+          go (i + 1) (remaining - w) min_skipped (depth + 1) (bits + w);
+          go (i + 1) remaining (Int.min min_skipped w) depth bits
         end
         else begin
-          go (i + 1) remaining depth bits;
+          go (i + 1) remaining (Int.min min_skipped w) depth bits;
           Array.unsafe_set stack depth i;
           Array.unsafe_set gains (depth + 1) (gain +. term);
-          go (i + 1) (remaining - w) (depth + 1) (bits + w)
+          go (i + 1) (remaining - w) min_skipped (depth + 1) (bits + w)
         end
-      end
-    end
-  in
-  go (Combination.task_start plan idx) (Combination.task_remaining plan idx) depth0 bits0
-
-(* The ticked walk. With [only_maximal], a leaf is scored only when no
-   fitting strict superset exists: every pool message is taken or skipped
-   along the path, so that holds exactly when the narrowest skipped
-   message no longer fits the remaining width. *)
-let walk_task a plan idx ~only_maximal ~incumbent ~budget c =
-  let t = a.a_kernel in
-  let widths = t.k_widths and terms = t.k_terms in
-  let ub = a.a_ub and cap = a.a_cap and shift = a.a_shift in
-  let n = Array.length t.k_pool in
-  let stack = c.stack and gains = c.gains in
-  let depth0, bits0 = prefix_of_task t plan idx c in
-  let inc = ref incumbent in
-  let rec go i remaining min_skipped depth bits =
-    let gain = Array.unsafe_get gains depth in
-    if i = n then leaf remaining min_skipped depth bits
-    else if
-      (gain +. Array.unsafe_get (Array.unsafe_get ub i) (Int.min remaining cap lsr shift))
-      *. bound_inflation
-      < !inc
-    then c.pruned <- c.pruned + 1
-    else begin
-      let w = Array.unsafe_get widths i in
-      if w > remaining then leaf remaining (Int.min min_skipped w) depth bits
-      else begin
-        go (i + 1) remaining (Int.min min_skipped w) depth bits;
-        Array.unsafe_set stack depth i;
-        Array.unsafe_set gains (depth + 1) (gain +. Array.unsafe_get terms i);
-        go (i + 1) (remaining - w) min_skipped (depth + 1) (bits + w)
       end
     end
   and leaf remaining min_skipped depth bits =
     if depth > 0 then begin
       let gain = Array.unsafe_get gains depth in
       Budget.tick budget;
-      if gain > !inc then inc := gain;
+      if gain > Array.unsafe_get inc 0 then Array.unsafe_set inc 0 gain;
       if not (only_maximal && min_skipped <= remaining) then begin
         c.scored <- c.scored + 1;
         if gain >= c.bg then consider t c gain bits stack depth
@@ -423,8 +400,8 @@ let walk_task a plan idx ~only_maximal ~incumbent ~budget c =
 (* Run [body idx cell] over every plan task across [jobs] domains; tasks
    are claimed in plan order from a shared counter, and claiming stops
    once [stop ()] holds. Each domain folds its tasks into a cell of its
-   own, so a walk's bound can prune against everything that domain has
-   seen; the best is unique, so how tasks landed on domains never shows
+   own, so a caller may hand a walk everything that domain has seen as
+   its incumbent; the best is unique, so how tasks landed on domains never shows
    in the merged result. Returns the per-domain cells. *)
 let fan_out t ~jobs ~stop plan body =
   let ntasks = Combination.n_tasks plan in
@@ -475,8 +452,9 @@ let search ?(only_maximal = false) ~jobs ~seeds ~budget a =
     |> List.sort_uniq (fun a b -> compare a.c_slots b.c_slots)
   in
   let incumbent = List.fold_left (fun acc c -> Float.max acc c.c_gain) neg_infinity seeds in
-  (* a fixed-depth plan whatever the job count: task-local pruning then
-     depends only on the task decomposition, not on the schedule *)
+  (* a fixed-depth plan whatever the job count, and every task starts
+     from the seed incumbent: pruning then depends only on the task
+     decomposition, not on the schedule *)
   let plan = plan t ~buffer_width in
   let cells =
     fan_out t ~jobs ~stop:(fun () -> Budget.expired budget) plan (fun idx c ->
@@ -506,12 +484,18 @@ let select_exact ?(only_maximal = false) ~limit ~jobs t ~buffer_width =
       (s.s_best, s.s_scored)
     else
       (* a sequential run walks the whole tree as one task: no plan to
-         build, no prefixes to replay *)
+         build, no prefixes to replay. Nothing here depends on the work
+         counters, so each task prunes against everything its domain has
+         seen, and each has a budget of its own that never expires (a
+         shared one would put every leaf's tick on one contended atomic). *)
       let plan =
         if jobs <= 1 then Combination.plan ~depth:0 (Array.to_list t.k_pool) ~width:buffer_width
         else plan t ~buffer_width
       in
-      let cells = fan_out t ~jobs ~stop:(fun () -> false) plan (walk_task_fast a plan) in
+      let cells =
+        fan_out t ~jobs ~stop:(fun () -> false) plan (fun idx c ->
+            walk_task a plan idx ~only_maximal:false ~incumbent:c.bg ~budget:(Budget.make ()) c)
+      in
       (best_of_cells t cells, a.a_count)
   in
   Option.map

@@ -50,8 +50,8 @@ val n_messages : t -> int
 val pool : t -> Message.t array
 
 (** [plan k ~buffer_width] is {!Combination.plan}'s default decomposition
-    of this pool — the task split every ticked walk, and the supervised
-    engine's journal, is expressed in. *)
+    of this pool — the task split {!search}, a parallel {!select_exact}
+    and the supervised engine's journal are expressed in. *)
 val plan : t -> buffer_width:int -> Combination.plan
 
 (** {1 Candidates} *)
@@ -116,7 +116,7 @@ val count : admitted -> int
     [0 ≤ slot ≤ n_messages], [width ≥ 0]. *)
 val upper_bound : admitted -> slot:int -> width:int -> float
 
-(** {1 The ticked walk} *)
+(** {1 The walk} *)
 
 (** A walk's best-so-far, work counters and scratch stack. One cell may
     fold several tasks; a domain walks with one cell at a time. *)
@@ -128,13 +128,17 @@ val cell : t -> cell
 val best : cell -> candidate option
 
 (** [walk_task a plan i ~only_maximal ~incumbent ~budget c] walks task
-    [i] of [plan] (built by {!plan} at [a]'s width), ticking [budget] once per visited
-    leaf and folding scored leaves into [c]. [only_maximal] scores only
-    inclusion-maximal candidates. Subtrees whose inflated upper bound is
-    strictly below the task-local incumbent (initially [incumbent], then
-    the best gain this task has seen) are pruned, so the task's best is
-    exact whenever it beats or ties [incumbent]. Raises {!Budget.Expired}
-    mid-walk; [c] then holds the best of the leaves visited so far. *)
+    [i] of [plan] (built by {!plan} at [a]'s width) — the one Step-1/2
+    walk every exact run goes through. It ticks [budget] once per visited
+    leaf and folds scored leaves into [c]; [only_maximal] scores only
+    inclusion-maximal candidates. At every node it descends first into
+    the branch with the higher bound, and it prunes subtrees whose
+    inflated upper bound is strictly below the task incumbent (initially
+    [incumbent], then the best gain this task has seen), so the task's
+    best is exact whenever it beats or ties [incumbent]. The order and
+    the pruning decide which leaves are visited, never the best. Raises
+    {!Budget.Expired} mid-walk; [c] then holds the best of the leaves
+    visited so far. *)
 val walk_task :
   admitted ->
   Combination.plan ->
@@ -158,13 +162,15 @@ type search = {
   s_complete : bool;
 }
 
-(** [search ~jobs ~seeds ~budget a] runs the ticked walk over every task
+(** [search ~jobs ~seeds ~budget a] runs {!walk_task} over every task
     of {!plan} at [a]'s width across [jobs] domains. Each seed (a
     candidate as message names, typically a journalled best of a prior
     run) is re-scored under this kernel; seeds naming unknown messages,
     empty ones and ones that no longer fit are dropped, and the best seed
-    gain becomes the pruning incumbent — which can never exclude a leaf
-    that would win or tie, so a complete search returns the exact best.
+    gain becomes every task's starting incumbent — which can never
+    exclude a leaf that would win or tie, so a complete search returns
+    the exact best. Tasks never see each other's bests, so the work
+    counters depend on the plan and the seeds only, not on [jobs].
     On budget expiry the search stops and returns the best of the leaves
     visited. *)
 val search :
@@ -185,11 +191,12 @@ type selection = {
 }
 
 (** [select_exact ~limit ~jobs k ~buffer_width] is the exact Step-1/2
-    selection: {!admit}, then the tick-free fast walk across [jobs]
-    domains — bound-pruned against the best-so-far, and descending first
-    into the branch with the higher bound — or, with [only_maximal], an
-    unbudgeted {!search}. [None] when no message fits. Raises
-    [Combination.Too_many] past [limit] candidates. *)
+    selection: {!admit}, then {!walk_task} under a budget that never
+    expires — one task at one job, the tasks of {!plan} across [jobs]
+    domains otherwise, each starting from its domain's best-so-far as the
+    incumbent — or, with [only_maximal], an unbudgeted {!search}. [None]
+    when no message fits. Raises [Combination.Too_many] past [limit]
+    candidates. *)
 val select_exact :
   ?only_maximal:bool -> limit:int -> jobs:int -> t -> buffer_width:int -> selection option
 

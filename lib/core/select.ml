@@ -154,7 +154,7 @@ let greedy_fallback k ~buffer_width =
   Tel.Counter.incr c_degraded;
   (combo, gain, Tier.Greedy_fallback)
 
-(* Budgeted and seeded runs: the kernel's ticked walk. A deadline already
+(* Budgeted and seeded runs: the kernel's {!Kernel.search}. A deadline already
    past on entry walks nothing; otherwise the limit is settled upfront and
    an expired budget degrades to the best of the leaves visited. *)
 let search ~maximal ~limit ~jobs ~deadline ~max_candidates ~seeds k ~buffer_width =
@@ -195,7 +195,7 @@ let step1_step2 ?(strategy = Exact) ?(limit = Combination.default_limit) ?(jobs 
   match strategy with
   | Greedy ->
       let combo, gain = greedy k ~buffer_width in
-      (combo, gain, Tier.Exact, Some k)
+      (combo, gain, Tier.Exact, k)
   | Exact | Exact_maximal ->
       let maximal = strategy = Exact_maximal in
       if deadline = None && max_candidates = None then begin
@@ -207,14 +207,14 @@ let step1_step2 ?(strategy = Exact) ?(limit = Combination.default_limit) ?(jobs 
               Tel.Counter.add c_scored sel.Kernel.sel_scored;
               Tel.Counter.add c_pruned (sel.Kernel.sel_streamed - sel.Kernel.sel_scored)
             end;
-            (sel.Kernel.sel_messages, sel.Kernel.sel_gain, Tier.Exact, Some k)
+            (sel.Kernel.sel_messages, sel.Kernel.sel_gain, Tier.Exact, k)
       end
       else
         let (combo, gain, tier), s =
           search ~maximal ~limit ~jobs ~deadline ~max_candidates ~seeds:[] k ~buffer_width
         in
         Option.iter (fun s -> Tel.Counter.add c_streamed s.Kernel.s_explored) s;
-        (combo, gain, tier, Some k)
+        (combo, gain, tier, k)
 
 let finalize ?(pack = true) ?(scale_partial = false) ?(tier = Tier.Exact) ?kernel inter ~combo
     ~gain ~buffer_width =
@@ -254,7 +254,7 @@ let select ?strategy ?limit ?jobs ?deadline ?max_candidates ?pack ?scale_partial
   let combo, gain, tier, kernel =
     step1_step2 ?strategy ?limit ?jobs ?deadline ?max_candidates ?kernel inter ~buffer_width
   in
-  finalize ?pack ?scale_partial ~tier ?kernel inter ~combo ~gain ~buffer_width
+  finalize ?pack ?scale_partial ~tier ~kernel inter ~combo ~gain ~buffer_width
 
 (* ------------------------------------------------------------------ *)
 (* Delta re-selection: when a scenario changed slightly since a previous

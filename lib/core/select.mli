@@ -91,7 +91,7 @@ val step2 : Interleave.t -> Message.t list list -> Message.t list * float
 
     [deadline] (absolute [Unix.gettimeofday] time) and [max_candidates]
     turn the exact strategies into anytime searches on the kernel's
-    ticked walk: the budgets are checked cooperatively once per visited
+    walk ({!Kernel.search}): the budgets are checked cooperatively once per visited
     leaf (the deadline every 256 leaves), and on expiry the walk stops
     cleanly and returns the best of the leaves visited with [result.tier
     = Anytime _] — or the greedy baseline ([Greedy_fallback]) if none had

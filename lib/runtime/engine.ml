@@ -60,7 +60,7 @@ let rebuild_best k path (b : Journal.best) =
       c
 
 let select ?(strategy = Select.Exact) ?(limit = Combination.default_limit) ?(jobs = 1)
-    ?(retries = 2) ?backoff ?deadline ?max_candidates ?stride ?checkpoint ?(resume = false)
+    ?(retries = 2) ?backoff ?deadline ?max_candidates ?checkpoint ?(resume = false)
     ?(checkpoint_every = 1) ?pack ?scale_partial ?inject inter ~buffer_width =
   if resume && checkpoint = None then
     invalid_arg "Engine.select: ~resume needs a ~checkpoint path to load";
@@ -128,7 +128,7 @@ let select ?(strategy = Select.Exact) ?(limit = Combination.default_limit) ?(job
                 (List.filter (fun t -> not done_.(t)) (List.init ntasks (fun t -> t)))
             in
             (* -------- checkpointing -------- *)
-            let budget = Budget.make ?deadline ?max_candidates ?stride () in
+            let budget = Budget.make ?deadline ?max_candidates () in
             let mutex = Mutex.create () in
             let since = ref 0 in
             let ckpt_on = ref (checkpoint <> None) in

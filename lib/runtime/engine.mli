@@ -1,7 +1,7 @@
 (** The supervised anytime selection engine.
 
-    Supervision around the selection kernel's ticked task walk
-    ([Kernel.walk_task], the same walk budgeted [Select.select] runs):
+    Supervision around the selection kernel's task walk
+    ([Kernel.walk_task], the one walk every exact [Select.select] runs):
     worker-domain faults are retried and contained ({!Supervisor}),
     progress can be checkpointed to a crash-safe journal and resumed
     after a kill ({!Journal}), and the kernel's [Budget] ticks degrade the
@@ -59,9 +59,7 @@ val pp_outcome : Format.formatter -> outcome -> unit
       degrade the run to an anytime result when exhausted: the best over
       the completed tasks and the best-so-far of the tasks the expiry
       stopped (those are neither marked done nor journalled), or the
-      greedy baseline when nothing was scored; [stride] is forwarded to
-      [Budget.make] (how many leaves may be visited between deadline
-      checks).
+      greedy baseline when nothing was scored.
     - [checkpoint] journals progress to the given path every
       [checkpoint_every] (default 1) completed tasks and once at the end.
     - [resume] loads [checkpoint] first (a missing file starts fresh) and
@@ -81,7 +79,6 @@ val select :
   ?backoff:Backoff.t ->
   ?deadline:float ->
   ?max_candidates:int ->
-  ?stride:int ->
   ?checkpoint:string ->
   ?resume:bool ->
   ?checkpoint_every:int ->

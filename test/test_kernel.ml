@@ -11,7 +11,9 @@
    to be a strict total order — the epsilon tie-break it replaced was not
    transitive; and the width-aware bound table every walk prunes on is
    checked against a brute-force knapsack on small pools, with two
-   deliberately wrong tables that the same check must catch. *)
+   deliberately wrong tables that the same check must catch; and the
+   work counters of the seeded, budgeted and exact-maximal search are
+   checked to be the same at every job count. *)
 
 open Flowtrace_core
 open Flowtrace_soc
@@ -482,11 +484,21 @@ let test_coarse_table_still_bounds () =
   check_kernel_equals_oracle "coarse table/maximal" ~strategy:Select.Exact_maximal inter
     ~buffer_width
 
+(* Seed lists for a seeded search: the optimum itself, random name
+   subsets of the pool (some too wide to fit), a list naming a message
+   the pool lacks, and an empty list — every kind [Kernel.search] must
+   either use as an incumbent or drop. *)
+let seeds_of ~rng ~optimum inter =
+  let names = List.map (fun (m : Message.t) -> m.Message.name) (Interleave.messages inter) in
+  let random () = List.filter (fun _ -> Rng.bool rng) names in
+  [ optimum; random (); random (); names; "no_such_message" :: random (); [] ]
+
 (* Every strategy against brute force on the same pools: exact and
    exact-maximal equal the list oracle on names, gain bits, coverage bits
-   and bits_used at jobs 1/2/4, plain and under budgets that never
-   expire; greedy never beats exact — a plain float compare, since both
-   sum their terms in ascending slot order. *)
+   and bits_used at jobs 1/2/4, plain, under budgets that never expire
+   and seeded ([Select.reselect], i.e. [Kernel.search] with an incumbent);
+   greedy never beats exact — a plain float compare, since both sum their
+   terms in ascending slot order. *)
 let prop_strategies_match_brute_force =
   QCheck.Test.make ~name:"exact, exact-maximal and greedy vs brute force on small pools"
     ~count:60 seed_arb (fun seed ->
@@ -494,6 +506,7 @@ let prop_strategies_match_brute_force =
       let far = Unix.gettimeofday () +. 3600.0 in
       let exact_ok strategy =
         let o = list_oracle ~strategy inter ~buffer_width in
+        let seeds = seeds_of ~rng:(Rng.create seed) ~optimum:(Select.selected_names o) inter in
         List.for_all
           (fun jobs ->
             List.for_all
@@ -505,12 +518,75 @@ let prop_strategies_match_brute_force =
                 (fun ~strategy ~jobs ->
                   Select.select ~strategy ~jobs ~max_candidates:Combination.default_limit
                     ~pack:false inter ~buffer_width);
+                (fun ~strategy ~jobs ->
+                  fst (Select.reselect ~strategy ~jobs ~seeds ~pack:false inter ~buffer_width));
               ])
           [ 1; 2; 4 ]
       in
       let gain strategy = (Select.select ~strategy ~pack:false inter ~buffer_width).Select.gain in
       exact_ok Select.Exact && exact_ok Select.Exact_maximal
       && gain Select.Greedy <= gain Select.Exact)
+
+(* The work counters of [Kernel.search] — leaves ticked, leaves scored,
+   subtrees pruned — are the same at jobs 1, 2 and 4 for every kind of
+   run it serves: exact-maximal, budgeted but unexpired, and seeded.
+   Every task starts from the seed incumbent on the fixed-depth plan, so
+   nothing a domain saw in an earlier task may leak into a later one's
+   pruning. *)
+let search_counters_invariant k ~buffer_width ~seeds =
+  let a = Kernel.admit k ~limit:Combination.default_limit ~max_candidates:None ~buffer_width in
+  let far = Unix.gettimeofday () +. 3600.0 in
+  let runs =
+    [
+      (true, [], fun () -> Budget.make ());
+      (false, [], fun () -> Budget.make ~deadline:far ());
+      (false, [], fun () -> Budget.make ~max_candidates:Combination.default_limit ());
+      (false, seeds, fun () -> Budget.make ());
+      (true, seeds, fun () -> Budget.make ~deadline:far ());
+    ]
+  in
+  List.for_all
+    (fun (only_maximal, seeds, budget) ->
+      let counters jobs =
+        let s = Kernel.search ~only_maximal ~jobs ~seeds ~budget:(budget ()) a in
+        (s.Kernel.s_complete, s.Kernel.s_explored, s.Kernel.s_scored, s.Kernel.s_pruned)
+      in
+      let c1 = counters 1 in
+      let complete, _, _, _ = c1 in
+      complete && counters 2 = c1 && counters 4 = c1)
+    runs
+
+let prop_search_counters_jobs_invariant =
+  QCheck.Test.make ~name:"search counters identical at jobs 1/2/4" ~count:40 seed_arb
+    (fun seed ->
+      let inter, buffer_width =
+        if seed mod 2 = 0 then small_pool_of_seed seed
+        else
+          let inter = Gen.interleaving_of_seed seed in
+          let widths = List.map Message.trace_width (Interleave.messages inter) in
+          (inter, List.fold_left min max_int widths + 4)
+      in
+      let k = Kernel.make inter in
+      let optimum =
+        Select.selected_names (Select.select ~pack:false ~kernel:k inter ~buffer_width)
+      in
+      search_counters_invariant k ~buffer_width
+        ~seeds:(seeds_of ~rng:(Rng.create seed) ~optimum inter))
+
+let test_stress_search_counters () =
+  let inter = Stress.interleave () in
+  let k = Kernel.make inter in
+  List.iter
+    (fun buffer_width ->
+      let optimum =
+        Select.selected_names (Select.select ~pack:false ~kernel:k inter ~buffer_width)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "stress w%d: counters identical at jobs 1/2/4" buffer_width)
+        true
+        (search_counters_invariant k ~buffer_width
+           ~seeds:(seeds_of ~rng:(Rng.create buffer_width) ~optimum inter)))
+    [ 16; Stress.default_buffer_width ]
 
 (* ------------------------------------------------------------------ *)
 (* A prebuilt kernel *)
@@ -611,6 +687,9 @@ let () =
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_bound_table_is_knapsack_optimum; prop_strategies_match_brute_force ] );
+      ( "search counters",
+        [ Alcotest.test_case "stress: jobs 1/2/4 identical" `Slow test_stress_search_counters ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_search_counters_jobs_invariant ] );
       ( "prebuilt kernel",
         [
           Alcotest.test_case "held kernel = fresh run, no evaluator build" `Quick

@@ -58,6 +58,13 @@ let kernel_tests =
     Test.make ~name:"kernel_select_bitset"
       (Staged.stage (fun () ->
            ignore (Select.select ~strategy:Select.Exact inter ~buffer_width:32)));
+    (* the same select on a prebuilt kernel: what a daemon session does
+       per request minus the serving layer — the anchor of
+       kernel_serve_select *)
+    Test.make ~name:"kernel_select_resident"
+      (Staged.stage
+         (let kernel = Kernel.make inter in
+          fun () -> ignore (Select.select ~strategy:Select.Exact ~kernel inter ~buffer_width:32)));
     (* delta re-selection seeded by the journalled best of a prior run at a
        neighboring buffer width — the --delta-from workload in miniature *)
     (Test.make ~name:"kernel_reselect")
@@ -89,10 +96,11 @@ let kernel_tests =
 
 (* The daemon's dispatch path on the same Scenario-1 selection the bare
    kernels time: one request line through Proto parsing, admission
-   control, per-request supervision and response rendering. The ratio
-   over kernel_select_bitset (same exact width-32 selection) is the
-   whole per-request serving overhead — that ratio is what the CI bench
-   gate holds. *)
+   control, per-request supervision and response rendering, on the
+   session's resident kernel. The ratio over kernel_select_resident (the
+   same exact width-32 selection on a prebuilt kernel) is the whole
+   per-request serving overhead — that ratio is what the CI bench gate
+   holds. *)
 
 module Service = Flowtrace_service
 
@@ -195,6 +203,18 @@ let stress_tests =
   let w = Stress.default_buffer_width in
   let kernel = Kernel.make inter in
   [
+    (* building the (2,1,2) stress product: what opening a stress session
+       spends beyond parsing its spec *)
+    Test.make ~name:"stress_interleave" (Staged.stage (fun () -> ignore (Stress.interleave ())));
+    (* an evaluator build on a cold cache: two interleavings of the same
+       mix alternate, so the one-slot cache misses on every call — what a
+       stress session's first select pays for its kernel's terms *)
+    Test.make ~name:"stress_evaluator_cold"
+      (Staged.stage
+         (let pair = [| inter; Stress.interleave () |] and k = ref 0 in
+          fun () ->
+            incr k;
+            ignore (Infogain.evaluator pair.(!k land 1))));
     (* a select as a daemon session runs it, with no Step 3: a prebuilt
        kernel, so no Kernel.make (most of stress_select_bitset) — only
        admission, the bound table, the walk and the coverage fold *)

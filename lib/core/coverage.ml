@@ -4,10 +4,10 @@
 
 let visible_states inter ~selected =
   let seen = Array.make (Interleave.n_states inter) false in
-  List.iter
-    (fun (e : Interleave.edge) ->
-      if selected e.Interleave.e_msg.Indexed.base then seen.(e.Interleave.e_dst) <- true)
-    (Interleave.edges inter);
+  let visible =
+    Array.init (Interleave.n_labels inter) (fun l -> selected (Interleave.label inter l).Indexed.base)
+  in
+  Interleave.iter_edges inter (fun _ l dst -> if visible.(l) then seen.(dst) <- true);
   let acc = ref [] in
   for s = Interleave.n_states inter - 1 downto 0 do
     if seen.(s) then acc := s :: !acc

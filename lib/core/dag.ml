@@ -5,7 +5,7 @@ let sat_add a b = if a > max_int - b then max_int else a + b
 let topo_order ~n ~succ =
   let indeg = Array.make n 0 in
   for s = 0 to n - 1 do
-    List.iter (fun d -> indeg.(d) <- indeg.(d) + 1) (succ s)
+    succ s (fun d -> indeg.(d) <- indeg.(d) + 1)
   done;
   let queue = Queue.create () in
   Array.iteri (fun s d -> if d = 0 then Queue.add s queue) indeg;
@@ -15,11 +15,9 @@ let topo_order ~n ~succ =
     let s = Queue.pop queue in
     order := s :: !order;
     incr seen;
-    List.iter
-      (fun d ->
+    succ s (fun d ->
         indeg.(d) <- indeg.(d) - 1;
         if indeg.(d) = 0 then Queue.add d queue)
-      (succ s)
   done;
   if !seen <> n then raise Cycle;
   List.rev !order
@@ -31,9 +29,11 @@ let count_paths ~n ~succ ~sources ~is_sink =
   List.iter
     (fun s ->
       if is_sink s then paths_to_sink.(s) <- 1
-      else
-        paths_to_sink.(s) <-
-          List.fold_left (fun acc d -> sat_add acc paths_to_sink.(d)) 0 (succ s))
+      else begin
+        let acc = ref 0 in
+        succ s (fun d -> acc := sat_add !acc paths_to_sink.(d));
+        paths_to_sink.(s) <- !acc
+      end)
     (List.rev order);
   List.fold_left (fun acc s -> sat_add acc paths_to_sink.(s)) 0 sources
 
@@ -45,6 +45,6 @@ let longest_path ~n ~succ ~sources =
   List.iter
     (fun s ->
       if dist.(s) > min_int then
-        List.iter (fun d -> if dist.(s) + 1 > dist.(d) then dist.(d) <- dist.(s) + 1) (succ s))
+        succ s (fun d -> if dist.(s) + 1 > dist.(d) then dist.(d) <- dist.(s) + 1))
     order;
   Array.fold_left max 0 dist

@@ -1,4 +1,6 @@
-(** Generic DAG algorithms over graphs with integer node identifiers. *)
+(** Generic DAG algorithms over graphs with integer node identifiers.
+    A graph is given by [~succ]: [succ s f] calls [f] on each successor of
+    [s], in a fixed order. *)
 
 (** Raised by {!topo_order} when the graph has a cycle. *)
 exception Cycle
@@ -9,12 +11,12 @@ val sat_add : int -> int -> int
 
 (** [topo_order ~n ~succ] is a topological order of nodes [0..n-1].
     Raises {!Cycle} if the graph is cyclic. *)
-val topo_order : n:int -> succ:(int -> int list) -> int list
+val topo_order : n:int -> succ:(int -> (int -> unit) -> unit) -> int list
 
 (** [count_paths ~n ~succ ~sources ~is_sink] counts (saturating) the paths
     from any source node to any sink node. *)
-val count_paths : n:int -> succ:(int -> int list) -> sources:int list -> is_sink:(int -> bool) -> int
+val count_paths : n:int -> succ:(int -> (int -> unit) -> unit) -> sources:int list -> is_sink:(int -> bool) -> int
 
 (** [longest_path ~n ~succ ~sources] is the length in edges of the longest
     path starting at a source. *)
-val longest_path : n:int -> succ:(int -> int list) -> sources:int list -> int
+val longest_path : n:int -> succ:(int -> (int -> unit) -> unit) -> sources:int list -> int

@@ -52,16 +52,14 @@ let of_interleave ?(max_states = 500) ?(selected = fun _ -> false) inter =
          (node_attrs ~initial:(List.mem s initials) ~stop:(Interleave.is_stop inter s)
             ~atomic:false))
   done;
-  List.iter
-    (fun (e : Interleave.edge) ->
+  Interleave.iter_edges inter (fun src l dst ->
+      let msg = Interleave.label inter l in
       let hl =
-        if selected e.Interleave.e_msg.Indexed.base then ", color=red, fontcolor=red, penwidth=2.0"
-        else ""
+        if selected msg.Indexed.base then ", color=red, fontcolor=red, penwidth=2.0" else ""
       in
       Buffer.add_string buf
-        (Printf.sprintf "  %d -> %d [label=\"%s\"%s];\n" e.Interleave.e_src e.Interleave.e_dst
-           (escape (Indexed.to_string e.Interleave.e_msg))
-           hl))
-    (Interleave.edges inter);
+        (Printf.sprintf "  %d -> %d [label=\"%s\"%s];\n" src dst
+           (escape (Indexed.to_string msg))
+           hl));
   Buffer.add_string buf "}\n";
   Buffer.contents buf

@@ -9,13 +9,13 @@ let random ?(rng = Rng.create 0) inter =
     if Interleave.is_stop inter s then
       { states = List.rev (s :: states); trace = List.rev trace }
     else
-      match Interleave.out_edges inter s with
-      | [] ->
+      match Interleave.out_degree inter s with
+      | 0 ->
           (* validated flows always reach a stop state; defensive *)
           { states = List.rev (s :: states); trace = List.rev trace }
-      | outs ->
-          let msg, dst = Rng.pick rng outs in
-          go dst (s :: states) (msg :: trace)
+      | d ->
+          let l, dst = Interleave.nth_out inter s (Rng.int rng d) in
+          go dst (s :: states) (Interleave.label inter l :: trace)
   in
   let s0 = Rng.pick rng (Interleave.initials inter) in
   go s0 [] []
@@ -31,7 +31,10 @@ let enumerate ?(limit = 100_000) inter =
       [ List.rev trace ]
     end
     else
-      List.concat_map (fun (msg, dst) -> go dst (msg :: trace)) (Interleave.out_edges inter s)
+      List.rev
+        (Interleave.fold_out inter s
+           (fun res l dst -> List.rev_append (go dst (Interleave.label inter l :: trace)) res)
+           [])
   in
   List.concat_map (fun s0 -> go s0 []) (Interleave.initials inter)
 

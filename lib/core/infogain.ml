@@ -19,67 +19,53 @@ type stats = {
   targets : (Indexed.t, (int * int) list) Hashtbl.t;  (* y -> (state, count) list *)
 }
 
-(* One pass over the edge list, on densely interned message ids: each edge
-   costs one hashtable probe (interning its indexed message) plus two
-   int-keyed counter bumps — the per-message target histograms live
-   behind flat int keys ([id * n_states + dst]), so the hot path never
-   hashes a message record twice or walks nested tables. Occurrence and
-   per-message target orders are the first-encounter (edge) order, which
-   pins the float association of every sum built on them to the edge
-   list — deterministic, and independent of hashtable internals. *)
+(* One pass over the edges ({!Interleave.iter_edges}, newest first): each
+   edge maps its interleave label to a dense first-encounter id through an
+   int array and bumps that id's count and one pair counter, keyed by
+   {!Interleave.first_in} (a short scan of the destination's in-edges),
+   so the hot path neither hashes nor allocates beyond a first-seen
+   target. Occurrence and per-message target orders are the
+   first-encounter order of that edge stream, which pins the float
+   association of every sum built on them — deterministic, and
+   independent of hashtable internals. *)
 let stats inter =
-  let n_states = Interleave.n_states inter in
-  let ids : (Indexed.t, int) Hashtbl.t = Hashtbl.create 64 in
-  let rev_msgs = ref [] in
+  let n_labels = Interleave.n_labels inter in
+  let id_of_label = Array.make n_labels (-1) in
+  let rev_labels = ref [] in
   let n_msgs = ref 0 in
-  let occ = ref (Array.make 16 0) in
+  let occ = Array.make n_labels 0 in
   (* per id, first-seen target states, reversed *)
-  let rev_tgts = ref (Array.make 16 []) in
-  let pair_cnt : (int, int ref) Hashtbl.t = Hashtbl.create 256 in
+  let rev_tgts = Array.make n_labels [] in
+  let pair_cnt = Array.make (Interleave.n_edges inter) 0 in
   let total = ref 0 in
-  List.iter
-    (fun (e : Interleave.edge) ->
+  Interleave.iter_edges inter (fun _ label dst ->
       incr total;
       let id =
-        match Hashtbl.find_opt ids e.Interleave.e_msg with
-        | Some id -> id
-        | None ->
+        match id_of_label.(label) with
+        | -1 ->
             let id = !n_msgs in
-            Hashtbl.replace ids e.Interleave.e_msg id;
-            rev_msgs := e.Interleave.e_msg :: !rev_msgs;
+            id_of_label.(label) <- id;
+            rev_labels := label :: !rev_labels;
             incr n_msgs;
-            if id >= Array.length !occ then begin
-              let grow a z =
-                let b = Array.make (2 * Array.length a) z in
-                Array.blit a 0 b 0 (Array.length a);
-                b
-              in
-              occ := grow !occ 0;
-              rev_tgts := grow !rev_tgts []
-            end;
             id
+        | id -> id
       in
-      !occ.(id) <- !occ.(id) + 1;
-      let key = (id * n_states) + e.Interleave.e_dst in
-      match Hashtbl.find_opt pair_cnt key with
-      | Some r -> incr r
-      | None ->
-          Hashtbl.replace pair_cnt key (ref 1);
-          !rev_tgts.(id) <- e.Interleave.e_dst :: !rev_tgts.(id))
-    (Interleave.edges inter);
-  let occ = !occ and rev_tgts = !rev_tgts in
-  let msgs = List.rev !rev_msgs in
-  let occurrences = List.mapi (fun id y -> (y, occ.(id))) msgs in
+      occ.(id) <- occ.(id) + 1;
+      let pair = Interleave.first_in inter dst label in
+      if pair_cnt.(pair) = 0 then rev_tgts.(id) <- dst :: rev_tgts.(id);
+      pair_cnt.(pair) <- pair_cnt.(pair) + 1);
+  let labels = List.rev !rev_labels in
+  let occurrences = List.mapi (fun id l -> (Interleave.label inter l, occ.(id))) labels in
   let targets = Hashtbl.create 64 in
   List.iteri
-    (fun id y ->
+    (fun id l ->
       let ts =
         List.fold_left
-          (fun acc x -> (x, !(Hashtbl.find pair_cnt ((id * n_states) + x))) :: acc)
+          (fun acc x -> (x, pair_cnt.(Interleave.first_in inter x l)) :: acc)
           [] rev_tgts.(id)
       in
-      Hashtbl.replace targets y ts)
-    msgs;
+      Hashtbl.replace targets (Interleave.label inter l) ts)
+    labels;
   { total_occurrences = !total; occurrences; targets }
 
 let targets_of st y = match Hashtbl.find_opt st.targets y with Some ts -> ts | None -> []
@@ -125,18 +111,17 @@ let uniform_prior inter =
    of executions passing through x — states on many paths weigh more. *)
 let visit_prior inter =
   let n = Interleave.n_states inter in
-  let succ = Interleave.successors inter in
-  let order = Dag.topo_order ~n ~succ in
+  let order = Dag.topo_order ~n ~succ:(Interleave.iter_succ inter) in
   let to_stop = Array.make n 0.0 in
   List.iter
     (fun s ->
       if Interleave.is_stop inter s then to_stop.(s) <- 1.0
-      else to_stop.(s) <- List.fold_left (fun a d -> a +. to_stop.(d)) 0.0 (succ s))
+      else to_stop.(s) <- Interleave.fold_out inter s (fun a _ d -> a +. to_stop.(d)) 0.0)
     (List.rev order);
   let from_init = Array.make n 0.0 in
   List.iter (fun s -> from_init.(s) <- 1.0) (Interleave.initials inter);
   List.iter
-    (fun s -> List.iter (fun d -> from_init.(d) <- from_init.(d) +. from_init.(s)) (succ s))
+    (fun s -> Interleave.iter_succ inter s (fun d -> from_init.(d) <- from_init.(d) +. from_init.(s)))
     order;
   let through = Array.init n (fun s -> from_init.(s) *. to_stop.(s)) in
   let total = Array.fold_left ( +. ) 0.0 through in

@@ -6,14 +6,27 @@
    paper's rules i/ii: component [i] may fire one of its transitions from a
    product state iff every other component currently sits outside its Atom
    set. Consequently no reachable product state has two atomic components,
-   which is exactly the mutex the Atom set encodes. *)
+   which is exactly the mutex the Atom set encodes.
+
+   Layout (compressed sparse rows). States are numbered in breadth-first
+   discovery order, so the exploration queue is just the id counter, and
+   each state's out-edges are discovered together, in order: edge [k] in
+   the flat out arrays is the [k]-th edge discovered. The in arrays hold
+   the same edges grouped by destination, each group in discovery order.
+   Labels are interned [Indexed.t] ids. Everything is held in flat int
+   arrays allocated at their exact size once exploration ends; while it
+   runs, rows are gathered in blocks small enough for the minor heap. *)
 
 type instance = { flow : Flow.t; index : int }
 
-(* Compiled form of one component flow: arrays indexed by a dense state id. *)
+(* Compiled form of one component flow: arrays indexed by a dense state
+   id; a state's transitions are [c_off.(s) .. c_off.(s + 1) - 1], in the
+   flow's declaration order, labelled with interned ids. *)
 type compiled = {
   c_names : string array;
-  c_out : (string * int) list array; (* message name, destination state id *)
+  c_off : int array;
+  c_mid : int array;
+  c_dst : int array;
   c_atomic : bool array;
   c_stop : bool array;
   c_initial : int list;
@@ -25,14 +38,17 @@ type t = {
   instances : instance array;
   compiled : compiled array;
   n_states : int;
-  state_comps : int array array;
+  comps : int array;  (* state [s]'s components at [s * n_inst ..] *)
   initials : int list;
   stops : int list;
   is_stop : bool array;
-  edges : edge list;
-  out_edges : (Indexed.t * int) list array;
-  in_edges : (Indexed.t * int) list array;
-  n_edges : int;
+  labels : Indexed.t array;  (* label id -> indexed message *)
+  out_off : int array;  (* n_states + 1 *)
+  out_mid : int array;
+  out_dst : int array;
+  in_off : int array;  (* n_states + 1 *)
+  in_mid : int array;
+  in_src : int array;
   messages : Message.t list;
 }
 
@@ -40,27 +56,84 @@ exception Not_legally_indexed of string
 exception Message_clash of string
 exception Too_large of int
 
-let compile (flow : Flow.t) =
+(* A growing table of fixed-width int rows, kept in blocks of [1 lsl
+   shift] rows — at most 256 words where the width allows, so blocks are
+   born in the minor heap — and copied once into a flat array of its exact
+   size. Only the block directory grows. *)
+module Rows = struct
+  type t = { width : int; shift : int; mask : int; mutable dir : int array array; mutable n : int }
+
+  let create width =
+    let shift = ref 0 in
+    while width lsl (!shift + 1) <= 256 do
+      incr shift
+    done;
+    { width; shift = !shift; mask = (1 lsl !shift) - 1; dir = Array.make 16 [||]; n = 0 }
+
+  (* index of a fresh row *)
+  let next t =
+    let r = t.n in
+    if r land t.mask = 0 then begin
+      let b = r lsr t.shift in
+      if b = Array.length t.dir then begin
+        let dir = Array.make (2 * b) [||] in
+        Array.blit t.dir 0 dir 0 b;
+        t.dir <- dir
+      end;
+      t.dir.(b) <- Array.make (t.width lsl t.shift) 0
+    end;
+    t.n <- r + 1;
+    r
+
+  let block t r = t.dir.(r lsr t.shift)
+  let offset t r = (r land t.mask) * t.width
+  let set t r k v = (block t r).(offset t r + k) <- v
+  let get t r k = (block t r).(offset t r + k)
+
+  (* all rows, flat *)
+  let to_array t =
+    let a = Array.make (t.n * t.width) 0 in
+    let per_block = t.width lsl t.shift in
+    let b = ref 0 and pos = ref 0 in
+    while !pos < Array.length a do
+      let len = min per_block (Array.length a - !pos) in
+      Array.blit t.dir.(!b) 0 a !pos len;
+      pos := !pos + len;
+      incr b
+    done;
+    a
+end
+
+let compile ~intern ~index (flow : Flow.t) =
   let n = List.length flow.Flow.states in
   let idx = Hashtbl.create n in
   List.iteri (fun i s -> Hashtbl.replace idx s i) flow.Flow.states;
   let c_names = Array.of_list flow.Flow.states in
-  let c_out = Array.make n [] in
-  (* prepend and reverse once: growing each adjacency list with @-append
-     was quadratic in a state's out-degree *)
+  let c_off = Array.make (n + 1) 0 in
   List.iter
     (fun (tr : Flow.transition) ->
-      let s = Hashtbl.find idx tr.Flow.t_src and d = Hashtbl.find idx tr.Flow.t_dst in
-      c_out.(s) <- (tr.Flow.t_msg, d) :: c_out.(s))
+      let s = Hashtbl.find idx tr.Flow.t_src in
+      c_off.(s + 1) <- c_off.(s + 1) + 1)
     flow.Flow.transitions;
   for s = 0 to n - 1 do
-    c_out.(s) <- List.rev c_out.(s)
+    c_off.(s + 1) <- c_off.(s + 1) + c_off.(s)
   done;
+  let m = c_off.(n) in
+  let c_mid = Array.make m 0 and c_dst = Array.make m 0 in
+  let fill = Array.make n 0 in
+  List.iter
+    (fun (tr : Flow.transition) ->
+      let s = Hashtbl.find idx tr.Flow.t_src in
+      let k = c_off.(s) + fill.(s) in
+      c_mid.(k) <- intern (Indexed.make tr.Flow.t_msg index);
+      c_dst.(k) <- Hashtbl.find idx tr.Flow.t_dst;
+      fill.(s) <- fill.(s) + 1)
+    flow.Flow.transitions;
   let mem l s = List.exists (String.equal s) l in
   let c_atomic = Array.map (mem flow.Flow.atomic) c_names in
   let c_stop = Array.map (mem flow.Flow.stop) c_names in
   let c_initial = List.map (Hashtbl.find idx) flow.Flow.initial in
-  { c_names; c_out; c_atomic; c_stop; c_initial }
+  { c_names; c_off; c_mid; c_dst; c_atomic; c_stop; c_initial }
 
 (* Union of the messages of all participating flows, deduplicated by name.
    Two flows may share a message (the same interface register observed by
@@ -93,6 +166,15 @@ let cartesian_initials compiled =
   in
   go 0 []
 
+(* FNV-style word hash of [w] components starting at [a.(off)]; the high
+   bits are folded down because the table indexes by the low ones. *)
+let hash_slice a off w =
+  let h = ref 0 in
+  for k = off to off + w - 1 do
+    h := (!h lxor a.(k)) * 0x100000001b3
+  done;
+  !h lxor (!h lsr 29)
+
 let default_max_states = 2_000_000
 
 let make ?(max_states = default_max_states) instance_list =
@@ -110,87 +192,155 @@ let make ?(max_states = default_max_states) instance_list =
   | Some (f, i) ->
       raise (Not_legally_indexed (Printf.sprintf "flow %s appears twice with index %d" f i))
   | None -> ());
-  let compiled = Array.map (fun i -> compile i.flow) instances in
   let messages = union_messages instances in
-  let n_inst = Array.length instances in
-  let table : (int array, int) Hashtbl.t = Hashtbl.create 1024 in
-  let states = ref [] in
-  let n_states = ref 0 in
-  let intern comps =
-    match Hashtbl.find_opt table comps with
-    | Some id -> (id, false)
+  let label_ids : (Indexed.t, int) Hashtbl.t = Hashtbl.create 32 in
+  let intern l =
+    match Hashtbl.find_opt label_ids l with
+    | Some id -> id
     | None ->
-        let id = !n_states in
-        if id >= max_states then raise (Too_large max_states);
-        Hashtbl.replace table comps id;
-        states := comps :: !states;
-        incr n_states;
-        (id, true)
+        let id = Hashtbl.length label_ids in
+        Hashtbl.replace label_ids l id;
+        id
   in
-  let worklist = Queue.create () in
-  let initial_comps = cartesian_initials compiled in
-  let initials =
-    List.map
-      (fun comps ->
-        let id, fresh = intern comps in
-        if fresh then Queue.add (id, comps) worklist;
-        id)
-      initial_comps
+  let compiled = Array.map (fun i -> compile ~intern ~index:i.index i.flow) instances in
+  let labels = Array.make (Hashtbl.length label_ids) (Indexed.make "" 0) in
+  Hashtbl.iter (fun l id -> labels.(id) <- l) label_ids;
+  let w = Array.length instances in
+  (* States are rows of [states]; [table] is an open-addressing set of
+     state ids keyed by their rows, kept at most half full. *)
+  let states = Rows.create w in
+  let table = ref (Array.make 256 (-1)) in
+  let insert tbl id =
+    let mask = Array.length tbl - 1 in
+    let i = ref (hash_slice (Rows.block states id) (Rows.offset states id) w land mask) in
+    while tbl.(!i) >= 0 do
+      i := (!i + 1) land mask
+    done;
+    tbl.(!i) <- id
   in
-  let edges = ref [] in
-  let n_edges = ref 0 in
-  while not (Queue.is_empty worklist) do
-    let src_id, comps = Queue.pop worklist in
-    for i = 0 to n_inst - 1 do
-      let others_non_atomic =
-        let ok = ref true in
-        for j = 0 to n_inst - 1 do
-          if j <> i && compiled.(j).c_atomic.(comps.(j)) then ok := false
+  let same_row id (cand : int array) =
+    let blk = Rows.block states id and off = Rows.offset states id in
+    let k = ref 0 in
+    while !k < w && blk.(off + !k) = cand.(!k) do
+      incr k
+    done;
+    !k = w
+  in
+  let intern_state cand =
+    let tbl = !table in
+    let mask = Array.length tbl - 1 in
+    let i = ref (hash_slice cand 0 w land mask) in
+    while tbl.(!i) >= 0 && not (same_row tbl.(!i) cand) do
+      i := (!i + 1) land mask
+    done;
+    if tbl.(!i) >= 0 then tbl.(!i)
+    else begin
+      let id = states.Rows.n in
+      if id >= max_states then raise (Too_large max_states);
+      ignore (Rows.next states);
+      Array.blit cand 0 (Rows.block states id) (Rows.offset states id) w;
+      tbl.(!i) <- id;
+      if 2 * (id + 1) > Array.length tbl then begin
+        let bigger = Array.make (2 * Array.length tbl) (-1) in
+        for s = 0 to id do
+          insert bigger s
         done;
-        !ok
-      in
-      if others_non_atomic then
-        List.iter
-          (fun (msg, dst_comp) ->
-            let comps' = Array.copy comps in
-            comps'.(i) <- dst_comp;
-            let dst_id, fresh = intern comps' in
-            if fresh then Queue.add (dst_id, comps') worklist;
-            let e_msg = Indexed.make msg instances.(i).index in
-            edges := { e_src = src_id; e_msg; e_dst = dst_id } :: !edges;
-            incr n_edges)
-          compiled.(i).c_out.(comps.(i))
+        table := bigger
+      end;
+      id
+    end
+  in
+  let initials = List.map intern_state (cartesian_initials compiled) in
+  (* Breadth-first: ids are handed out in discovery order, so state [s] is
+     expanded after every state below it. *)
+  let edges = Rows.create 2 and starts = Rows.create 1 in
+  let cur = Array.make w 0 and cand = Array.make w 0 in
+  let s = ref 0 in
+  while !s < states.Rows.n do
+    Rows.set starts (Rows.next starts) 0 edges.Rows.n;
+    Array.blit (Rows.block states !s) (Rows.offset states !s) cur 0 w;
+    Array.blit cur 0 cand 0 w;
+    let n_atomic = ref 0 in
+    for i = 0 to w - 1 do
+      if compiled.(i).c_atomic.(cur.(i)) then incr n_atomic
+    done;
+    for i = 0 to w - 1 do
+      let c = compiled.(i) and here = cur.(i) in
+      (* component [i] fires only while every other one is non-atomic *)
+      if !n_atomic - Bool.to_int c.c_atomic.(here) = 0 then begin
+        for k = c.c_off.(here) to c.c_off.(here + 1) - 1 do
+          cand.(i) <- c.c_dst.(k);
+          let dst = intern_state cand in
+          let e = Rows.next edges in
+          Rows.set edges e 0 c.c_mid.(k);
+          Rows.set edges e 1 dst
+        done;
+        cand.(i) <- here
+      end
+    done;
+    incr s
+  done;
+  let n = states.Rows.n and m = edges.Rows.n in
+  let comps = Rows.to_array states in
+  let out_off = Array.make (n + 1) m in
+  for s = 0 to n - 1 do
+    out_off.(s) <- Rows.get starts s 0
+  done;
+  let out_mid = Array.make m 0 and out_dst = Array.make m 0 in
+  for e = 0 to m - 1 do
+    out_mid.(e) <- Rows.get edges e 0;
+    out_dst.(e) <- Rows.get edges e 1
+  done;
+  (* In-edges by counting sort on the destination: ends first, then each
+     edge placed at its group's end in reverse discovery order, which
+     leaves every group in discovery order and [in_off.(d + 1)] at group
+     [d]'s start; one shift turns those into the offsets. *)
+  let in_off = Array.make (n + 1) 0 in
+  Array.iter (fun d -> in_off.(d + 1) <- in_off.(d + 1) + 1) out_dst;
+  for d = 0 to n - 1 do
+    in_off.(d + 1) <- in_off.(d + 1) + in_off.(d)
+  done;
+  let in_mid = Array.make m 0 and in_src = Array.make m 0 in
+  for s = n - 1 downto 0 do
+    for e = out_off.(s + 1) - 1 downto out_off.(s) do
+      let d = out_dst.(e) in
+      let at = in_off.(d + 1) - 1 in
+      in_off.(d + 1) <- at;
+      in_mid.(at) <- out_mid.(e);
+      in_src.(at) <- s
     done
   done;
-  let n = !n_states in
-  let state_comps = Array.make n [||] in
-  List.iter (fun comps -> state_comps.(Hashtbl.find table comps) <- comps) !states;
-  let is_stop = Array.make n false in
-  for s = 0 to n - 1 do
-    let comps = state_comps.(s) in
-    let all_stop = ref true in
-    Array.iteri (fun i c -> if not compiled.(i).c_stop.(c) then all_stop := false) comps;
-    is_stop.(s) <- !all_stop
+  for d = 0 to n - 1 do
+    in_off.(d) <- in_off.(d + 1)
   done;
-  let stops = List.filter (fun s -> is_stop.(s)) (List.init n Fun.id) in
-  let out_edges = Array.make n [] and in_edges = Array.make n [] in
-  List.iter
-    (fun e ->
-      out_edges.(e.e_src) <- (e.e_msg, e.e_dst) :: out_edges.(e.e_src);
-      in_edges.(e.e_dst) <- (e.e_msg, e.e_src) :: in_edges.(e.e_dst))
-    !edges;
+  in_off.(n) <- m;
+  let is_stop =
+    Array.init n (fun s ->
+        let all_stop = ref true in
+        for i = 0 to w - 1 do
+          if not compiled.(i).c_stop.(comps.((s * w) + i)) then all_stop := false
+        done;
+        !all_stop)
+  in
+  let stops = ref [] in
+  for s = n - 1 downto 0 do
+    if is_stop.(s) then stops := s :: !stops
+  done;
   {
     instances;
     compiled;
     n_states = n;
-    state_comps;
+    comps;
     initials;
-    stops;
+    stops = !stops;
     is_stop;
-    edges = !edges;
-    out_edges;
-    in_edges;
-    n_edges = !n_edges;
+    labels;
+    out_off;
+    out_mid;
+    out_dst;
+    in_off;
+    in_mid;
+    in_src;
     messages;
   }
 
@@ -217,24 +367,65 @@ let instances flows counts =
 let of_flows ?max_states flows = make ?max_states (Result.get_ok (instances flows []))
 
 let n_states t = t.n_states
-let n_edges t = t.n_edges
+let n_edges t = Array.length t.out_mid
 let initials t = t.initials
 let stops t = t.stops
 let is_stop t s = t.is_stop.(s)
 let messages t = t.messages
-let edges t = t.edges
-let out_edges t s = t.out_edges.(s)
-let in_edges t s = t.in_edges.(s)
+let n_labels t = Array.length t.labels
+let label t id = t.labels.(id)
+let out_degree t s = t.out_off.(s + 1) - t.out_off.(s)
+let nth_out t s k = (t.out_mid.(t.out_off.(s) + k), t.out_dst.(t.out_off.(s) + k))
 
-let successors t s = List.map snd t.out_edges.(s)
+let iter_out t s f =
+  for e = t.out_off.(s) to t.out_off.(s + 1) - 1 do
+    f t.out_mid.(e) t.out_dst.(e)
+  done
+
+let fold_out t s f acc =
+  let acc = ref acc in
+  for e = t.out_off.(s) to t.out_off.(s + 1) - 1 do
+    acc := f !acc t.out_mid.(e) t.out_dst.(e)
+  done;
+  !acc
+
+let fold_in t s f acc =
+  let acc = ref acc in
+  for e = t.in_off.(s) to t.in_off.(s + 1) - 1 do
+    acc := f !acc t.in_mid.(e) t.in_src.(e)
+  done;
+  !acc
+
+let first_in t dst label =
+  let e = ref t.in_off.(dst) and stop = t.in_off.(dst + 1) in
+  while !e < stop && t.in_mid.(!e) <> label do
+    incr e
+  done;
+  if !e < stop then !e else -1
+
+(* newest edge first *)
+let iter_edges t f =
+  for s = t.n_states - 1 downto 0 do
+    for e = t.out_off.(s + 1) - 1 downto t.out_off.(s) do
+      f s t.out_mid.(e) t.out_dst.(e)
+    done
+  done
+
+let iter_succ t s f = iter_out t s (fun _ d -> f d)
+
+let edges t =
+  let acc = ref [] in
+  iter_edges t (fun s mid d -> acc := { e_src = s; e_msg = t.labels.(mid); e_dst = d } :: !acc);
+  List.rev !acc
+
+let out_edges t s = List.rev (fold_out t s (fun acc mid d -> (t.labels.(mid), d) :: acc) [])
+let in_edges t s = List.rev (fold_in t s (fun acc mid src -> (t.labels.(mid), src) :: acc) [])
 
 let state_name t s =
-  let comps = t.state_comps.(s) in
+  let w = Array.length t.instances in
   let parts =
-    Array.to_list
-      (Array.mapi
-         (fun i c -> Printf.sprintf "%s%d" t.compiled.(i).c_names.(c) t.instances.(i).index)
-         comps)
+    List.init w (fun i ->
+        Printf.sprintf "%s%d" t.compiled.(i).c_names.(t.comps.((s * w) + i)) t.instances.(i).index)
   in
   "(" ^ String.concat "," parts ^ ")"
 
@@ -246,8 +437,7 @@ let message_exn t name =
   | None -> invalid_arg (Printf.sprintf "Interleave.message_exn: no message %s" name)
 
 let total_paths t =
-  Dag.count_paths ~n:t.n_states ~succ:(successors t) ~sources:t.initials
-    ~is_sink:(fun s -> t.is_stop.(s))
+  Dag.count_paths ~n:t.n_states ~succ:(iter_succ t) ~sources:t.initials ~is_sink:(fun s -> t.is_stop.(s))
 
 (* All executions of the product as indexed traces. Exponential in general;
    guarded by [limit] like [Flow.executions] — callers wanting graceful
@@ -260,7 +450,8 @@ let executions ?(limit = 1_000_000) t =
       incr count;
       [ List.rev acc ]
     end
-    else List.concat_map (fun (msg, dst) -> go dst (msg :: acc)) t.out_edges.(s)
+    else
+      List.rev (fold_out t s (fun res mid dst -> List.rev_append (go dst (t.labels.(mid) :: acc)) res) [])
   in
   List.concat_map (fun s0 -> go s0 []) t.initials
 
@@ -274,5 +465,5 @@ let indexed_instances_of t base =
 
 let pp ppf t =
   Format.fprintf ppf "interleaving of %d instances: %d states, %d edges, %d initial, %d stop"
-    (Array.length t.instances) t.n_states t.n_edges (List.length t.initials)
+    (Array.length t.instances) t.n_states (n_edges t) (List.length t.initials)
     (List.length t.stops)

@@ -11,7 +11,31 @@
     Only the reachable part of the product is materialized (forward
     exploration from the cross product of initial states); [p(x) = 1/|S|]
     in {!Infogain} is therefore taken over {e reachable} product states,
-    matching the paper's Figure 2 count of 15 states. *)
+    matching the paper's Figure 2 count of 15 states.
+
+    {2 Layout}
+
+    The product is stored in compressed sparse rows: flat int arrays, each
+    allocated at its exact size once exploration ends.
+    - Product states are dense ids in [[0, n_states)], numbered in
+      breadth-first discovery order; their components sit in one flat
+      array of [n_states × instances] ints.
+    - Edge labels are interned: a {e label id} in [[0, n_labels)] stands
+      for one {!Indexed.t} message ({!label}).
+    - Per state, an out-offset into flat out-edge arrays (label id,
+      destination) and an in-offset into flat in-edge arrays (label id,
+      source).
+
+    {2 Order guarantees}
+
+    Consumers read the arrays through the iterators below, and several
+    results are pinned to their orders (float association in
+    {!Infogain}, line order in {!Dot}):
+    - {!iter_out} / {!fold_out} visit a state's out-edges, and {!fold_in}
+      its in-edges, in discovery order;
+    - {!iter_edges} visits every edge newest first, the reverse of
+      discovery order (states in descending id, each state's out-edges
+      last to first). *)
 
 (** One participating flow with its instance index (Definition 3/4). *)
 type instance = { flow : Flow.t; index : int }
@@ -33,7 +57,8 @@ exception Not_legally_indexed of string
     widths. *)
 exception Message_clash of string
 
-(** Raised when the reachable product exceeds [max_states]. *)
+(** Raised, while the product is explored, as soon as it reaches a state
+    beyond the first [max_states]. *)
 exception Too_large of int
 
 (** [make instances] builds the interleaved flow of the given legally
@@ -69,18 +94,62 @@ val is_stop : t -> int -> bool
     the pool Step 1 enumerates over. *)
 val messages : t -> Message.t list
 
-(** Every edge of the product DAG, in construction order — the stream
-    {!Infogain.stats} folds over. *)
+(** {2 Edges} *)
+
+(** Number of interned edge labels. Every label of a participating
+    instance's transitions is interned, fired or not. *)
+val n_labels : t -> int
+
+(** [label t id] is the indexed message label id [id] stands for. *)
+val label : t -> int -> Indexed.t
+
+(** [out_degree t s] is the number of edges leaving [s]. *)
+val out_degree : t -> int -> int
+
+(** [nth_out t s k] is [s]'s [k]-th out-edge (label id, destination),
+    [0 <= k < out_degree t s], in discovery order. *)
+val nth_out : t -> int -> int -> int * int
+
+(** [iter_out t s f] calls [f label dst] on each edge leaving [s], in
+    discovery order. *)
+val iter_out : t -> int -> (int -> int -> unit) -> unit
+
+(** [iter_succ t s f] calls [f dst] on each edge leaving [s], in discovery
+    order — the successor iterator {!Dag} takes. *)
+val iter_succ : t -> int -> (int -> unit) -> unit
+
+(** [fold_out t s f acc] folds [f acc label dst] over the edges leaving
+    [s], in discovery order. *)
+val fold_out : t -> int -> ('a -> int -> int -> 'a) -> 'a -> 'a
+
+(** [fold_in t s f acc] folds [f acc label src] over the edges entering
+    [s], in discovery order. *)
+val fold_in : t -> int -> ('a -> int -> int -> 'a) -> 'a -> 'a
+
+(** [first_in t dst label] is the position, in [[0, n_edges)], of the
+    first edge entering [dst] with label [label], or [-1] when none does:
+    a dense key for each distinct (label, destination) pair. It scans
+    [dst]'s in-edges. *)
+val first_in : t -> int -> int -> int
+
+(** [iter_edges t f] calls [f src label dst] on every edge, newest first
+    (the reverse of discovery order) — the order {!Infogain}'s sums and
+    {!Dot}'s edge lines are pinned to. *)
+val iter_edges : t -> (int -> int -> int -> unit) -> unit
+
+(** {2 Edge lists}
+
+    Built on demand from the arrays, for tests and tools; the library
+    reads edges through the iterators above. *)
+
+(** Every edge, in {!iter_edges} order. *)
 val edges : t -> edge list
 
 (** [out_edges t s] / [in_edges t s]: the labeled transitions leaving /
-    entering product state [s]. *)
+    entering product state [s], in discovery order. *)
 val out_edges : t -> int -> (Indexed.t * int) list
 
 val in_edges : t -> int -> (Indexed.t * int) list
-
-(** [successors t s] is [out_edges] without the labels. *)
-val successors : t -> int -> int list
 
 (** [state_name t s] renders a product state like ["(c1,n2)"]. *)
 val state_name : t -> int -> string

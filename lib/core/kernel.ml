@@ -78,12 +78,12 @@ let make inter =
   Array.iteri (fun i (m : Message.t) -> Hashtbl.replace index m.Message.name i) pool;
   let n_states = Interleave.n_states inter in
   let states = Array.init n (fun _ -> Bitset.create n_states) in
-  List.iter
-    (fun (e : Interleave.edge) ->
-      match Hashtbl.find_opt index e.Interleave.e_msg.Indexed.base with
-      | Some i -> Bitset.set states.(i) e.Interleave.e_dst
-      | None -> ())
-    (Interleave.edges inter);
+  (* each interleave label resolved to its pool slot once, not per edge *)
+  let slot =
+    Array.init (Interleave.n_labels inter) (fun l ->
+        Option.value ~default:(-1) (Hashtbl.find_opt index (Interleave.label inter l).Indexed.base))
+  in
+  Interleave.iter_edges inter (fun _ l dst -> if slot.(l) >= 0 then Bitset.set states.(slot.(l)) dst);
   {
     k_inter = inter;
     k_ev = ev;

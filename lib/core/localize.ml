@@ -28,8 +28,9 @@ let forward_count ~semantics inter ~selected ~obs =
         let v =
           if Interleave.is_stop inter s then if pos = len then 1 else 0
           else
-            List.fold_left
-              (fun acc (msg, dst) ->
+            Interleave.fold_out inter s
+              (fun acc l dst ->
+                let msg = Interleave.label inter l in
                 let base = msg.Indexed.base in
                 if selected base then
                   if pos < len then
@@ -42,7 +43,7 @@ let forward_count ~semantics inter ~selected ~obs =
                         (* observation exhausted: any continuation matches *)
                         Dag.sat_add acc (count dst pos)
                 else Dag.sat_add acc (count dst pos))
-              0 (Interleave.out_edges inter s)
+              0
         in
         Hashtbl.replace memo (s, pos) v;
         v
@@ -69,8 +70,9 @@ let backward_count inter ~selected ~obs =
     | None ->
         let v =
           let here = if is_initial s && pos = len then 1 else 0 in
-          List.fold_left
-            (fun acc (msg, src) ->
+          Interleave.fold_in inter s
+            (fun acc l src ->
+              let msg = Interleave.label inter l in
               let base = msg.Indexed.base in
               if selected base then
                 if pos < len then
@@ -81,7 +83,7 @@ let backward_count inter ~selected ~obs =
                         overwritten by wrap-around *)
                   Dag.sat_add acc (count src pos)
               else Dag.sat_add acc (count src pos))
-            here (Interleave.in_edges inter s)
+            here
         in
         Hashtbl.replace memo (s, pos) v;
         v
@@ -131,8 +133,9 @@ let subseq_count ~semantics inter ~selected ~obs ~budget =
         let v =
           if Interleave.is_stop inter s then if pos = len then 1 else 0
           else
-            List.fold_left
-              (fun acc (msg, dst) ->
+            Interleave.fold_out inter s
+              (fun acc l dst ->
+                let msg = Interleave.label inter l in
                 let base = msg.Indexed.base in
                 if selected base then
                   if pos < len then
@@ -149,7 +152,7 @@ let subseq_count ~semantics inter ~selected ~obs ~budget =
                         (* trailing selected emissions were lost too *)
                         if k < budget then Dag.sat_add acc (count dst pos (k + 1)) else acc
                 else Dag.sat_add acc (count dst pos k))
-              0 (Interleave.out_edges inter s)
+              0
         in
         Hashtbl.replace memo (s, pos, k) v;
         v
@@ -167,15 +170,14 @@ let deepest_obs_pos inter ~selected ~obs ~budget =
       Hashtbl.replace visited (s, pos, k) ();
       if pos > !deepest then deepest := pos;
       if not (Interleave.is_stop inter s) then
-        List.iter
-          (fun (msg, dst) ->
+        Interleave.iter_out inter s (fun l dst ->
+            let msg = Interleave.label inter l in
             let base = msg.Indexed.base in
             if selected base then begin
               if pos < len && Indexed.equal msg obs.(pos) then go dst (pos + 1) k
               else if k < budget then go dst pos (k + 1)
             end
             else go dst pos k)
-          (Interleave.out_edges inter s)
     end
   in
   List.iter (fun s0 -> go s0 0 0) (Interleave.initials inter);

@@ -13,23 +13,21 @@ type t = {
 
 let compute inter =
   let n = Interleave.n_states inter in
-  let occ = Hashtbl.create 32 in
-  List.iter
-    (fun (e : Interleave.edge) ->
-      let k = e.Interleave.e_msg in
-      Hashtbl.replace occ k (1 + Option.value ~default:0 (Hashtbl.find_opt occ k)))
-    (Interleave.edges inter);
+  let occ = Array.make (Interleave.n_labels inter) 0 in
+  Interleave.iter_edges inter (fun _ l _ -> occ.(l) <- occ.(l) + 1);
   let occurrences =
     List.sort
       (fun (ma, ca) (mb, cb) ->
         match compare cb ca with 0 -> Indexed.compare ma mb | c -> c)
-      (Hashtbl.fold (fun m c acc -> (m, c) :: acc) occ [])
+      (List.filter_map
+         (fun l -> if occ.(l) > 0 then Some (Interleave.label inter l, occ.(l)) else None)
+         (List.init (Array.length occ) Fun.id))
   in
   let non_stop = ref 0 and degree = ref 0 in
   for s = 0 to n - 1 do
     if not (Interleave.is_stop inter s) then begin
       incr non_stop;
-      degree := !degree + List.length (Interleave.out_edges inter s)
+      degree := !degree + Interleave.out_degree inter s
     end
   done;
   {
@@ -37,7 +35,7 @@ let compute inter =
     st_edges = Interleave.n_edges inter;
     st_paths = Interleave.total_paths inter;
     st_longest =
-      Dag.longest_path ~n ~succ:(Interleave.successors inter) ~sources:(Interleave.initials inter);
+      Dag.longest_path ~n ~succ:(Interleave.iter_succ inter) ~sources:(Interleave.initials inter);
     st_branching =
       (if !non_stop = 0 then 0.0 else float_of_int !degree /. float_of_int !non_stop);
     st_entropy_bound = log (float_of_int (max 1 n));

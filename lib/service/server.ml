@@ -346,7 +346,7 @@ let run ?(ready = fun () -> ()) ?(on_diags = fun _ -> ()) cfg =
           conn_list
     in
     let writes = List.filter_map (fun c -> if conn_wants_write c then Some c.fd else None) conn_list in
-    let rs, ws, _ =
+    let rs, _, _ =
       match Unix.select reads writes [] 0.25 with
       | r -> r
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
@@ -358,8 +358,13 @@ let run ?(ready = fun () -> ()) ?(on_diags = fun _ -> ()) cfg =
       (fun c -> if List.memq c.fd rs && Hashtbl.mem conns c.cid then do_read c)
       conn_list;
     drain_completed ();
+    (* every connection with bytes to send, not only those [select]
+       reported writable: a response drained just now belongs to a
+       connection that was idle when [select] was called, and waiting
+       for the next round would delay it by one [select]. A full socket
+       answers EAGAIN and keeps its bytes for the next round. *)
     List.iter
-      (fun c -> if List.memq c.fd ws && Hashtbl.mem conns c.cid then do_write c)
+      (fun c -> if conn_wants_write c && Hashtbl.mem conns c.cid then do_write c)
       conn_list;
     (* retire connections that are fully served *)
     List.iter

@@ -179,6 +179,135 @@ let prop_trace_length_matches_states =
       let path = Execution.random ~rng:(Rng.create seed) inter in
       List.length path.Execution.trace = List.length path.Execution.states - 1)
 
+(* ------------------------------------------------------------------ *)
+(* Differential oracle: the array-based builder against the list-based
+   one it replaced (Interleave_ref) — numbering, edge orders, labels, the
+   evaluator's gain bits and kernel coverage must all agree exactly. *)
+
+module Scenario = Flowtrace_soc.Scenario
+module Stress = Flowtrace_soc.Stress
+
+let bits f = Int64.bits_of_float f
+
+(* [None] when the two interleavings agree on everything, else the first
+   disagreement. *)
+let disagreement instances =
+  let inter = Interleave.make instances and r = Interleave_ref.make instances in
+  let n = Interleave.n_states inter in
+  let first_state what f =
+    let rec go s = if s = n then None else if f s then go (s + 1) else Some (Printf.sprintf "%s at state %d" what s) in
+    go 0
+  in
+  let checks =
+    [
+      (fun () -> if n = r.Interleave_ref.n_states then None else Some "n_states");
+      (fun () -> if Interleave.n_edges inter = r.n_edges then None else Some "n_edges");
+      (fun () -> if Interleave.initials inter = r.initials then None else Some "initials");
+      (fun () -> if Interleave.stops inter = r.stops then None else Some "stops");
+      (fun () -> first_state "is_stop" (fun s -> Interleave.is_stop inter s = r.is_stop.(s)));
+      (fun () ->
+        first_state "state_name" (fun s ->
+            String.equal (Interleave.state_name inter s) (Interleave_ref.state_name r s)));
+      (fun () -> first_state "out_edges" (fun s -> Interleave.out_edges inter s = r.out_edges.(s)));
+      (fun () -> first_state "in_edges" (fun s -> Interleave.in_edges inter s = r.in_edges.(s)));
+      (fun () -> if Interleave.edges inter = r.edges then None else Some "edge sequence");
+      (fun () -> if Interleave.messages inter = r.messages then None else Some "messages");
+      (fun () ->
+        let pool = Array.of_list (Combination.canonical_pool (Interleave.messages inter)) in
+        let ev = Infogain.evaluator inter in
+        let ref_terms = Interleave_ref.base_terms r in
+        let ref_term name = Option.value ~default:0.0 (List.assoc_opt name ref_terms) in
+        let weight name = float_of_int (1 + (String.length name mod 3)) in
+        let ref_weighted =
+          List.fold_left (fun acc (name, v) -> acc +. (weight name *. v)) 0.0 ref_terms
+        in
+        if
+          Array.for_all2
+            (fun (m : Message.t) v -> bits v = bits (ref_term m.Message.name))
+            pool (Infogain.terms ev pool)
+          && bits (Infogain.eval_weighted ev ~weight) = bits ref_weighted
+        then None
+        else Some "gain bits");
+      (fun () ->
+        let k = Kernel.make inter in
+        let pool = Kernel.pool k in
+        let agree selected =
+          bits (Kernel.coverage k ~selected) = bits (Interleave_ref.coverage r ~selected)
+        in
+        let rec go i =
+          if i = Array.length pool then None
+          else
+            let name = pool.(i).Message.name in
+            let prefix b =
+              let rec mem j = j <= i && (String.equal pool.(j).Message.name b || mem (j + 1)) in
+              mem 0
+            in
+            if agree (String.equal name) && agree prefix then go (i + 1)
+            else Some (Printf.sprintf "coverage at slot %d" i)
+        in
+        go 0);
+    ]
+  in
+  List.find_map (fun check -> check ()) checks
+
+let check_same name instances =
+  match disagreement instances with
+  | None -> ()
+  | Some what -> Alcotest.failf "%s: interleavings disagree on %s" name what
+
+let test_differential_paper () =
+  check_same "paper example"
+    [
+      { Interleave.flow = Toy.cache_coherence; index = 1 };
+      { Interleave.flow = Toy.cache_coherence; index = 2 };
+    ]
+
+let test_differential_t2 () =
+  List.iter
+    (fun k ->
+      check_same (Printf.sprintf "T2 scenario %d" k)
+        (Scenario.analysis_instances (Scenario.by_id k)))
+    [ 1; 2; 3 ]
+
+(* The stress mixes the select-spread benchmark opens: (2,1,2) four
+   times, (2,2,1) and (1,2,2) twice, each in a different flow order, which
+   renumbers the instances. *)
+let stress_mixes =
+  let perms = [ [ 0; 1; 2 ]; [ 2; 0; 1 ]; [ 1; 2; 0 ]; [ 2; 1; 0 ]; [ 0; 2; 1 ]; [ 1; 0; 2 ]; [ 0; 1; 2 ]; [ 2; 1; 0 ] ] in
+  List.map2
+    (fun (a, b, c) perm ->
+      let counts = [| ("STA", a); ("STB", b); ("STC", c) |] in
+      List.map (Array.get counts) perm)
+    [ (2, 1, 2); (2, 1, 2); (2, 1, 2); (2, 1, 2); (2, 2, 1); (2, 2, 1); (1, 2, 2); (1, 2, 2) ]
+    perms
+
+let test_differential_stress () =
+  List.iter
+    (fun mix ->
+      check_same
+        (String.concat "," (List.map (fun (f, c) -> Printf.sprintf "%s=%d" f c) mix))
+        (Result.get_ok (Interleave.instances Stress.flows mix)))
+    stress_mixes
+
+let prop_differential_random =
+  QCheck.Test.make ~name:"array and list builders agree on random flows" ~count:100
+    (QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 100_000))
+    (fun seed ->
+      match disagreement (Result.get_ok (Interleave.instances (Gen.flows_of_seed seed) [])) with
+      | None -> true
+      | Some what -> QCheck.Test.fail_reportf "seed %d: disagree on %s" seed what)
+
+(* The state bound is checked while exploring: a bound one below the
+   product size fails, the exact size builds. *)
+let test_too_large_boundary () =
+  let instances = Result.get_ok (Interleave.instances Stress.flows [ ("STA", 2); ("STB", 1); ("STC", 2) ]) in
+  let n = Interleave.n_states (Interleave.make instances) in
+  (match Interleave.make ~max_states:(n - 1) instances with
+  | exception Interleave.Too_large m -> Alcotest.(check int) "reported bound" (n - 1) m
+  | _ -> Alcotest.failf "max_states %d built a %d-state product" (n - 1) n);
+  Alcotest.(check int) "max_states = n builds" n
+    (Interleave.n_states (Interleave.make ~max_states:n instances))
+
 (* Instance counts index 1..n in count order; an unknown flow name is an
    error naming it and the declared flows, never a silent drop. *)
 let test_instances_from_counts () =
@@ -219,6 +348,14 @@ let () =
           Alcotest.test_case "shared message ok" `Quick test_shared_message_same_width_ok;
           Alcotest.test_case "too large" `Quick test_too_large;
           Alcotest.test_case "indexed instances" `Quick test_indexed_instances_of;
+          Alcotest.test_case "too large boundary" `Quick test_too_large_boundary;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "paper example" `Quick test_differential_paper;
+          Alcotest.test_case "T2 scenarios 1-3" `Quick test_differential_t2;
+          Alcotest.test_case "select-spread stress mixes" `Quick test_differential_stress;
+          QCheck_alcotest.to_alcotest prop_differential_random;
         ] );
       ( "stats",
         [

@@ -226,6 +226,13 @@ let stress_tests =
       (Staged.stage
          (let deadline = Unix.gettimeofday () +. (365.0 *. 86400.0) in
           fun () -> ignore (Select.select ~deadline ~pack:false ~kernel inter ~buffer_width:w)));
+    (* Definition 7 on a prebuilt kernel for the workload's exact
+       selection: the word-OR/popcount fold every select ends with *)
+    Test.make ~name:"stress_coverage_resident"
+      (Staged.stage
+         (let chosen = (Select.select ~pack:false ~kernel inter ~buffer_width:w).Select.messages in
+          let selected name = List.exists (fun (m : Message.t) -> String.equal m.Message.name name) chosen in
+          fun () -> ignore (Kernel.coverage kernel ~selected)));
     Test.make ~name:"stress_select_exact_list"
       (Staged.stage (fun () -> ignore (select_exact_list inter ~buffer_width:w)));
     Test.make ~name:"stress_select_bitset"

@@ -1,7 +1,7 @@
 (* Dense bit vectors over int words, the word-parallel substrate of the
    selection kernel (Kernel): per-message destination-state sets become
    one cache-friendly int array each, and set union / cardinality become
-   word-OR folds and table-driven popcounts instead of per-element walks.
+   word-OR folds and SWAR popcounts instead of per-element walks.
 
    Words hold [bits_per_word] = 63 bits (the full OCaml int payload);
    [lsr] is a logical shift, so the sign bit is just one more data bit. *)
@@ -29,24 +29,18 @@ let mem t i =
   check t i "mem";
   t.words.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
 
-(* 16-bit popcount table: one byte per 16-bit pattern, built once. Four
-   table probes per 63-bit word beat a per-bit loop by ~16x and need no
-   64-bit mask literals (OCaml int literals stop below 2^62). *)
-let pop16 =
-  lazy
-    (let t = Bytes.create 65536 in
-     for i = 0 to 65535 do
-       let rec bits x acc = if x = 0 then acc else bits (x lsr 1) (acc + (x land 1)) in
-       Bytes.unsafe_set t i (Char.chr (bits i 0))
-     done;
-     t)
-
+(* SWAR popcount over the 63-bit word: no table, no allocation, nothing
+   built at module initialisation. Bit 62 (the sign bit) is counted on its
+   own; bits 0-61 are summed in 2-, 4- and 8-bit fields and the eight byte
+   sums are folded into the top byte by one multiply. Every mask is a
+   legal OCaml int literal (below 2^62). *)
 let popcount_word x =
-  let t = Lazy.force pop16 in
-  Char.code (Bytes.unsafe_get t (x land 0xffff))
-  + Char.code (Bytes.unsafe_get t ((x lsr 16) land 0xffff))
-  + Char.code (Bytes.unsafe_get t ((x lsr 32) land 0xffff))
-  + Char.code (Bytes.unsafe_get t (x lsr 48))
+  let hi = x lsr 62 in
+  let x = x land max_int in
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  hi + ((x * 0x0101_0101_0101_0101) lsr 56)
 
 let popcount t = Array.fold_left (fun acc w -> acc + popcount_word w) 0 t.words
 

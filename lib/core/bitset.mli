@@ -1,7 +1,7 @@
 (** Dense bit vectors over int words — the word-parallel substrate of the
     selection kernel ({!Kernel}). Coverage-style set cardinalities become
-    word-OR folds with table-driven popcounts instead of per-element
-    marking passes. *)
+    word-OR folds with table-free (SWAR) popcounts instead of
+    per-element marking passes. *)
 
 type t
 
@@ -23,7 +23,8 @@ val mem : t -> int -> bool
 (** Number of set bits. *)
 val popcount : t -> int
 
-(** Popcount of one word value (any non-negative int). *)
+(** Popcount of one word value: all 63 bits count, so a negative int
+    (sign bit set) has its bit 62 counted too. *)
 val popcount_word : int -> int
 
 (** [union_into ~into src] ORs [src] into [into]; both must share one

@@ -16,8 +16,10 @@ val random : ?rng:Rng.t -> Interleave.t -> path
     selected — the content the trace buffer records. *)
 val project : selected:(string -> bool) -> Indexed.t list -> Indexed.t list
 
-(** [enumerate inter] lists the traces of all executions. Raises [Failure]
-    past [limit] (default 100,000) paths. *)
+(** [enumerate inter] lists the traces of all executions, depth first.
+    Exactly [limit] (default 100,000) executions are allowed: one more
+    raises [Failure]. This is the brute-force seam [flowtrace check]'s
+    verdicts are tested against. *)
 val enumerate : ?limit:int -> Interleave.t -> Indexed.t list list
 
 val trace_to_string : Indexed.t list -> string

@@ -439,22 +439,6 @@ let message_exn t name =
 let total_paths t =
   Dag.count_paths ~n:t.n_states ~succ:(iter_succ t) ~sources:t.initials ~is_sink:(fun s -> t.is_stop.(s))
 
-(* All executions of the product as indexed traces. Exponential in general;
-   guarded by [limit] like [Flow.executions] — callers wanting graceful
-   degradation catch the [Failure]. *)
-let executions ?(limit = 1_000_000) t =
-  let count = ref 0 in
-  let rec go s acc =
-    if !count > limit then failwith "Interleave.executions: limit exceeded";
-    if t.is_stop.(s) then begin
-      incr count;
-      [ List.rev acc ]
-    end
-    else
-      List.rev (fold_out t s (fun res mid dst -> List.rev_append (go dst (t.labels.(mid) :: acc)) res) [])
-  in
-  List.concat_map (fun s0 -> go s0 []) t.initials
-
 let indexed_instances_of t base =
   Array.to_list
     (Array.map (fun i -> Indexed.make base i.index)

@@ -164,14 +164,6 @@ val message_exn : t -> string -> Message.t
     initial to a stop product state. *)
 val total_paths : t -> int
 
-(** [executions t] enumerates the traces of all executions of the product
-    (indexed message sequences, initial to stop, DFS order). This is the
-    brute-force seam the static debuggability analysis ([flowtrace check])
-    validates its verdicts against: project these traces with
-    {!Localize.project} and compare languages directly. Raises [Failure]
-    past [limit] (default 1,000,000) paths, like {!Flow.executions}. *)
-val executions : ?limit:int -> t -> Indexed.t list list
-
 (** [indexed_instances_of t base] lists the indexed messages [i:base] for
     every participating instance whose flow declares [base]. *)
 val indexed_instances_of : t -> string -> Indexed.t list

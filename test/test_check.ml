@@ -5,9 +5,9 @@
      fixtures) triggers its FC rule, and shipped specs stay clean;
    - ground truth: every static verdict is confirmed by the dynamic
      machinery it predicts — Localize for the ambiguity rules, Select for
-     budget infeasibility, Interleave executions for dead monitors;
+     budget infeasibility, enumerated executions for dead monitors;
    - property: on random bundle-of-chains flow pairs, the FC010/FC011/
-     FC012 verdicts coincide exactly with brute-force Interleave/Localize
+     FC012 verdicts coincide exactly with brute-force Execution/Localize
      distinguishability. *)
 
 open Flowtrace_core
@@ -38,7 +38,7 @@ let dyn_subset ?semantics f g =
   let ig = solo_inter g in
   List.for_all
     (fun tr -> Localize.consistent_paths ?semantics ig ~selected:all_selected ~observed:tr > 0)
-    (Interleave.executions (solo_inter f))
+    (Execution.enumerate (solo_inter f))
 
 (* --- crafted counterexamples: static verdict + dynamic confirmation --- *)
 
@@ -104,7 +104,7 @@ let test_deadmon_dynamic () =
           let m = Interleave.message_exn inter im.Indexed.base in
           Alcotest.(check bool) "no message over SIU->NCU" false (rides_dead m))
         tr)
-    (Interleave.executions inter)
+    (Execution.enumerate inter)
 
 let test_lossfragile_static () =
   let diags = Check.check_file (checks_file "lossfragile.flow") in
@@ -141,14 +141,14 @@ let test_lossfragile_dynamic () =
       Alcotest.(check bool)
         "lossy observation of F consistent with G" true
         (Localize.consistent_paths ig ~selected ~observed > 0))
-    (Interleave.executions i_f);
+    (Execution.enumerate i_f);
   List.iter
     (fun tr ->
       let observed = Localize.project ~selected tr in
       Alcotest.(check bool)
         "lossy observation of G consistent with F" true
         (Localize.consistent_paths i_f ~selected ~observed > 0))
-    (Interleave.executions ig)
+    (Execution.enumerate ig)
 
 let branch_spec =
   "flow B\n\
@@ -171,7 +171,7 @@ let test_branch_dynamic () =
   (* flagged branch ambiguity => even the full trace leaves >= 2
      consistent paths: localization is degraded below the branch *)
   let inter = Interleave.of_flows (Spec_parser.parse_string branch_spec) in
-  let tr = List.hd (Interleave.executions inter) in
+  let tr = List.hd (Execution.enumerate inter) in
   Alcotest.(check bool)
     "full observation leaves 2 paths" true
     (Localize.consistent_paths inter ~selected:all_selected ~observed:tr >= 2)
@@ -448,7 +448,7 @@ let ambiguity_matches_brute_force (sa, sb) =
     List.exists
       (fun tr ->
         Localize.consistent_paths inter ~selected:all_selected ~observed:tr >= 2)
-      (Interleave.executions inter)
+      (Execution.enumerate inter)
   in
   Bool.equal static_identical dyn_eq
   && Bool.equal (static_identical || static_prefix) dyn_prefix

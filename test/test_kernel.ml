@@ -1,7 +1,9 @@
 (* Tests for the word-parallel selection kernel and the determinism
    bugfix sweep.
 
-   The Bitset substrate is checked against a bool-array reference; the
+   The Bitset substrate is checked against a bool-array reference and
+   its popcount against a per-bit count over all 63 bits of an int (the
+   first-use race and set-level counts are in test/test_bitset.ml); the
    kernel is checked bit-identical to the brute-force list oracle
    (Combination.enumerate + Select.step2) on the built-in scenarios, the
    stress workload, random interleavings and a pool wider than one
@@ -58,15 +60,21 @@ let prop_popcount_union_matches_reference =
       List.iter (fun s -> Bitset.union_into ~into s) sets;
       Bitset.popcount_union sets = Bitset.popcount into)
 
+let naive_popcount w =
+  let n = ref 0 in
+  for i = 0 to Bitset.bits_per_word - 1 do
+    if w land (1 lsl i) <> 0 then incr n
+  done;
+  !n
+
+(* Arbitrary ints, negative ones included, and the extremes. *)
+let word_arb =
+  QCheck.make ~print:string_of_int
+    QCheck.Gen.(frequency [ (6, int); (1, oneofl [ 0; -1; max_int; min_int ]) ])
+
 let prop_popcount_word =
-  QCheck.Test.make ~name:"popcount_word = naive bit count" ~count:500
-    (QCheck.make (QCheck.Gen.int_bound max_int))
-    (fun w ->
-      let naive = ref 0 in
-      for i = 0 to 62 do
-        if w land (1 lsl i) <> 0 then incr naive
-      done;
-      Bitset.popcount_word w = !naive)
+  QCheck.Test.make ~name:"popcount_word = naive bit count" ~count:2000 word_arb (fun w ->
+      Bitset.popcount_word w = naive_popcount w)
 
 let test_bitset_range_checks () =
   let b = Bitset.create 10 in

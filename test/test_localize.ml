@@ -266,6 +266,20 @@ let prop_lossy_report_bounds =
       f >= 0.0 && f <= 1.0 && r.Localize.lr_confidence >= 0.0 && r.Localize.lr_confidence <= 1.0
       && r.Localize.lr_discarded + r.Localize.lr_skips <= r.Localize.lr_budget + List.length obs)
 
+(* Execution.enumerate allows exactly [limit] executions: on the paper's
+   two-instance interleaving, [~limit:n] (n = total paths) returns all n
+   traces, and one fewer raises. *)
+let test_enumerate_limit_boundary () =
+  let inter = Toy.two_instances () in
+  let n = Interleave.total_paths inter in
+  Alcotest.(check bool) "more than one execution" true (n > 1);
+  let traces = Execution.enumerate ~limit:n inter in
+  Alcotest.(check int) "limit n returns all n" n (List.length traces);
+  Alcotest.(check int) "all distinct" n (List.length (List.sort_uniq compare traces));
+  Alcotest.check_raises "limit n-1 raises"
+    (Failure "Execution.enumerate: limit exceeded") (fun () ->
+      ignore (Execution.enumerate ~limit:(n - 1) inter))
+
 let () =
   Alcotest.run "localize"
     [
@@ -279,6 +293,8 @@ let () =
           Alcotest.test_case "finer observation localizes better" `Quick
             test_more_messages_localize_better;
         ] );
+      ( "execution",
+        [ Alcotest.test_case "enumerate limit boundary" `Quick test_enumerate_limit_boundary ] );
       ( "suffix",
         [
           Alcotest.test_case "full observation" `Quick test_suffix_full_observation;
